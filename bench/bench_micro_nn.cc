@@ -18,6 +18,7 @@
 #include "nn/gru.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
+#include "util/build_info.h"
 
 namespace {
 
@@ -137,6 +138,29 @@ void BM_MatMulTraining(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * 64 * 312 * 128);
 }
 BENCHMARK(BM_MatMulTraining)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_MatMulSmallRows(benchmark::State& state) {
+  // Action selection: m observation rows (1 when serving or evaluating one
+  // agent, 4 for a 2 UAV + 2 UGV rollout step) through the first actor
+  // layer, at 100 (k = 312) and 1000 (k = 3012) PoIs. Fewer rows than one
+  // 8-row tile, so this times the remainder-row tiles alone.
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int mode = static_cast<int>(state.range(2));
+  KernelModeGuard guard(mode);
+  state.SetLabel(KernelModeName(mode));
+  util::Rng rng(5);
+  nn::Tensor a = nn::Tensor::Randn(m, k, rng);
+  nn::Tensor b = nn::Tensor::Randn(k, 128, rng);
+  if (!SelfCheck(state, nn::MatMul(a, b), nn::internal::NaiveMatMul(a, b))) {
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * 128);
+}
+BENCHMARK(BM_MatMulSmallRows)->ArgsProduct({{1, 4}, {312, 3012}, {0, 1, 2}});
 
 void BM_MlpForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
@@ -258,4 +282,14 @@ BENCHMARK(BM_PpoUpdate)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Provenance for BENCH_nn.json, printed in the context header.
+  benchmark::AddCustomContext(
+      "build", util::BuildInfoString(std::string("gemm-isa=") +
+                                     nn::ActiveGemmIsaName()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

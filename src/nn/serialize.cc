@@ -1,11 +1,11 @@
 #include "nn/serialize.h"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
 #include "util/fault_inject.h"
+#include "util/ipc.h"
 
 namespace agsc::nn {
 
@@ -145,27 +145,6 @@ void RestoreParameters(const std::vector<Tensor>& snapshot,
 // v2 checkpoints.
 // ---------------------------------------------------------------------------
 
-uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
-  // Table-driven CRC-32 (IEEE, reflected). The table is built once.
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = seed ^ 0xFFFFFFFFu;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 CheckpointSection& Checkpoint::AddSection(const std::string& name) {
   sections.push_back(CheckpointSection{name, {}, {}});
   return sections.back();
@@ -211,7 +190,7 @@ std::string EncodeCheckpoint(const Checkpoint& checkpoint) {
       AppendBytes(out, t.data(), sizeof(float) * static_cast<size_t>(t.size()));
     }
   }
-  AppendScalar(out, Crc32(out.data(), out.size()));
+  AppendScalar(out, util::Crc32(out.data(), out.size()));
   return out;
 }
 
@@ -225,7 +204,7 @@ CheckpointError DecodeCheckpoint(const std::string& bytes, Checkpoint& out) {
   const size_t payload_size = bytes.size() - sizeof(uint32_t);
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + payload_size, sizeof(stored_crc));
-  if (Crc32(bytes.data(), payload_size) != stored_crc) {
+  if (util::Crc32(bytes.data(), payload_size) != stored_crc) {
     return CheckpointError::kBadChecksum;
   }
 

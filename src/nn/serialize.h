@@ -51,14 +51,10 @@ void RestoreParameters(const std::vector<Tensor>& snapshot,
 //
 // The fingerprint is an arbitrary caller-chosen architecture hash; loaders
 // compare it against their own and reject mismatches loudly. The trailing
-// CRC-32 detects truncation and bit corruption. Writes go through
-// util::AtomicWriteFile (tmp + fsync + rename) so a crash mid-save never
-// destroys the previous checkpoint.
+// CRC-32 (util::Crc32) detects truncation and bit corruption. Writes go
+// through util::AtomicWriteFile (tmp + fsync + rename) so a crash mid-save
+// never destroys the previous checkpoint.
 // ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE reflected polynomial 0xEDB88320) over `len` bytes. Pass the
-/// previous return value as `seed` to checksum data in chunks.
-uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 
 /// One named group of raw 64-bit words and tensors inside a checkpoint.
 struct CheckpointSection {

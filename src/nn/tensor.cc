@@ -296,11 +296,12 @@ std::string Tensor::ShapeString() const {
 // ---------------------------------------------------------------------------
 // GEMM kernels
 //
-// Determinism contract: every kernel — naive, blocked (any ISA variant,
-// full tile or scalar edge), serial or row-partitioned parallel — computes
-// each output element C[i][j] through one accumulation chain in ascending-p
-// order, starting from 0. Nothing ever splits or reorders a chain, so the
-// result bits are identical for every (kernel, tile, thread-count) choice.
+// Determinism contract: every kernel — naive, blocked (any ISA tier, any
+// tile shape including the MatMul remainder tiles, or a scalar edge), serial
+// or row-partitioned parallel — computes each output element C[i][j]
+// through one accumulation chain in ascending-p order, starting from 0.
+// Nothing ever splits or reorders a chain, so the result bits are identical
+// for every (kernel, tile, thread-count) choice.
 // MatMul / MatMulTransposedA accumulate in float; MatMulTransposedB
 // accumulates each dot product in double, exactly as the naive reference.
 // ---------------------------------------------------------------------------
@@ -373,28 +374,36 @@ Tensor NaiveMatMulTransposedA(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-enum class IsaLevel { kGeneric, kAvx2, kAvx512 };
+using internal::GemmIsa;
 
-IsaLevel DetectIsa() {
+GemmIsa DetectIsa() {
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx512f")) return IsaLevel::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;
+  if (__builtin_cpu_supports("avx512f")) return GemmIsa::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return GemmIsa::kAvx2;
 #endif
-  return IsaLevel::kGeneric;
+  return GemmIsa::kGeneric;
 }
 
-IsaLevel Isa() {
-  static const IsaLevel level = DetectIsa();
+GemmIsa Isa() {
+  static const GemmIsa level = DetectIsa();
   return level;
+}
+
+// Running a tier's code on a CPU without its instructions is SIGILL, not an
+// exception; the tier hooks refuse instead.
+void RequireTier(GemmIsa isa) {
+  if (static_cast<int>(isa) > static_cast<int>(Isa())) {
+    throw std::invalid_argument("GEMM tier not supported by this CPU");
+  }
 }
 
 }  // namespace
 
 const char* ActiveGemmIsaName() {
   switch (Isa()) {
-    case IsaLevel::kAvx512: return "avx512";
-    case IsaLevel::kAvx2: return "avx2";
-    case IsaLevel::kGeneric: return "generic";
+    case GemmIsa::kAvx512: return "avx512";
+    case GemmIsa::kAvx2: return "avx2";
+    case GemmIsa::kGeneric: return "generic";
   }
   return "generic";
 }
@@ -403,83 +412,157 @@ namespace {
 
 // --- MatMul family: C[i][j] = sum_p A[i][p]*B[p][j], A is m x k row-major --
 
-constexpr int kMmMr = 8;   // rows per register tile
-constexpr int kMmNr = 32;  // cols per register tile
+constexpr int kMmMr = 8;       // max rows per register tile
+constexpr int kMmNr = 32;      // cols per full register tile
+constexpr int kMmPanel = 256;  // values of p per packed A panel (8 KiB)
 
-// Full 8x32 register tile, all of k. Each acc[ii][jj] is the complete
-// ascending-p chain for one output element.
-#define AGSC_MM_TILE_BODY                                                 \
-  float acc[kMmMr][kMmNr] = {};                                           \
-  for (int p = 0; p < k; ++p) {                                           \
-    const float* brow = b + static_cast<std::size_t>(p) * n + j0;         \
-    const float* acol = a + static_cast<std::size_t>(i0) * k + p;         \
-    for (int ii = 0; ii < kMmMr; ++ii) {                                  \
-      const float av = acol[static_cast<std::size_t>(ii) * k];            \
-      for (int jj = 0; jj < kMmNr; ++jj) acc[ii][jj] += av * brow[jj];    \
-    }                                                                     \
-  }                                                                       \
-  for (int ii = 0; ii < kMmMr; ++ii) {                                    \
-    float* crow = c + static_cast<std::size_t>(i0 + ii) * n + j0;         \
-    for (int jj = 0; jj < kMmNr; ++jj) crow[jj] = acc[ii][jj];            \
+// Full register tile: rows [i0, i0 + MR) x cols [j0, j0 + 32), all of k.
+// Each acc[ii][jj] is the complete ascending-p chain for one output element.
+template <int MR>
+__attribute__((always_inline)) inline void MmTile(const float* a,
+                                                  const float* b, float* c,
+                                                  int k, int n, int i0,
+                                                  int j0) {
+  float acc[MR][kMmNr] = {};
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n + j0;
+    const float* acol = a + static_cast<std::size_t>(i0) * k + p;
+    for (int ii = 0; ii < MR; ++ii) {
+      const float av = acol[static_cast<std::size_t>(ii) * k];
+      for (int jj = 0; jj < kMmNr; ++jj) acc[ii][jj] += av * brow[jj];
+    }
   }
+  for (int ii = 0; ii < MR; ++ii) {
+    float* crow = c + static_cast<std::size_t>(i0 + ii) * n + j0;
+    for (int jj = 0; jj < kMmNr; ++jj) crow[jj] = acc[ii][jj];
+  }
+}
 
-void MmTileGeneric(const float* a, const float* b, float* c, int k, int n,
-                   int i0, int j0) {
-  AGSC_MM_TILE_BODY
+// One float per row of a band: a GCC vector extension, so the remainder
+// block compiles to the registers of whichever tier inlines it.
+typedef float MmLanes __attribute__((vector_size(kMmMr * sizeof(float))));
+
+// NC remainder columns over one packed panel of pn values of p. chains[jj]
+// holds column jj's chain for every row of the band, one per lane, so one
+// multiply and one add advance all of them by one p.
+template <int NC>
+__attribute__((always_inline)) inline void MmLaneCols(const float* panel,
+                                                      int pn, const float* b,
+                                                      int n,
+                                                      MmLanes* chains) {
+  MmLanes acc[NC];
+  for (int jj = 0; jj < NC; ++jj) acc[jj] = chains[jj];
+  for (int p = 0; p < pn; ++p) {
+    MmLanes av;
+    std::memcpy(&av, panel + static_cast<std::size_t>(p) * kMmMr, sizeof(av));
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    for (int jj = 0; jj < NC; ++jj) acc[jj] += av * brow[jj];
+  }
+  for (int jj = 0; jj < NC; ++jj) chains[jj] = acc[jj];
+}
+
+// The n % 32 remainder columns [j0, n) of rows [i0, i0 + MR) — the 1-, 2-
+// and 4-wide critic, actor and i-EOI heads. A row's p values lie apart in
+// row-major A, so each run of kMmPanel values of p is first packed
+// transposed into `panel` (lanes >= MR hold 0 and are never stored); the
+// columns then advance four at a time. Panels run in ascending p, so every
+// chain keeps its order.
+template <int MR>
+__attribute__((always_inline)) inline void MmRemainder(const float* a,
+                                                       const float* b,
+                                                       float* c, int k,
+                                                       int n, int i0,
+                                                       int j0) {
+  MmLanes chains[kMmNr] = {};
+  float panel[kMmPanel * kMmMr];
+  const float* arows = a + static_cast<std::size_t>(i0) * k;
+  for (int p0 = 0; p0 < k; p0 += kMmPanel) {
+    const int pn = std::min(kMmPanel, k - p0);
+    for (int p = 0; p < pn; ++p) {
+      float* lanes = panel + static_cast<std::size_t>(p) * kMmMr;
+      for (int ii = 0; ii < MR; ++ii) {
+        lanes[ii] = arows[static_cast<std::size_t>(ii) * k + p0 + p];
+      }
+      for (int ii = MR; ii < kMmMr; ++ii) lanes[ii] = 0.0f;
+    }
+    const float* bp = b + static_cast<std::size_t>(p0) * n;
+    int j = j0;
+    for (; j + 4 <= n; j += 4) {
+      MmLaneCols<4>(panel, pn, bp + j, n, chains + (j - j0));
+    }
+    switch (n - j) {
+      case 3: MmLaneCols<3>(panel, pn, bp + j, n, chains + (j - j0)); break;
+      case 2: MmLaneCols<2>(panel, pn, bp + j, n, chains + (j - j0)); break;
+      case 1: MmLaneCols<1>(panel, pn, bp + j, n, chains + (j - j0)); break;
+    }
+  }
+  for (int ii = 0; ii < MR; ++ii) {
+    float* crow = c + static_cast<std::size_t>(i0 + ii) * n;
+    for (int j = j0; j < n; ++j) crow[j] = chains[j - j0][ii];
+  }
+}
+
+// Rows [i0, i0 + MR) across all n columns.
+template <int MR>
+__attribute__((always_inline)) inline void MmBandBody(const float* a,
+                                                      const float* b,
+                                                      float* c, int k, int n,
+                                                      int i0) {
+  int j0 = 0;
+  for (; j0 + kMmNr <= n; j0 += kMmNr) MmTile<MR>(a, b, c, k, n, i0, j0);
+  if (j0 < n) MmRemainder<MR>(a, b, c, k, n, i0, j0);
+}
+
+template <int MR>
+void MmBandGeneric(const float* a, const float* b, float* c, int k, int n,
+                   int i0) {
+  MmBandBody<MR>(a, b, c, k, n, i0);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void MmTileAvx2(const float* a,
+template <int MR>
+__attribute__((target("avx2"))) void MmBandAvx2(const float* a,
                                                 const float* b, float* c,
-                                                int k, int n, int i0,
-                                                int j0) {
-  AGSC_MM_TILE_BODY
+                                                int k, int n, int i0) {
+  MmBandBody<MR>(a, b, c, k, n, i0);
 }
 
 // avx512f implies FMA hardware; fp-contract must stay off or gcc fuses the
 // mul+add into an FMA and the tile stops being bit-exact vs the reference.
+template <int MR>
 __attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-MmTileAvx512(const float* a, const float* b, float* c, int k, int n, int i0,
-             int j0) {
-  AGSC_MM_TILE_BODY
+MmBandAvx512(const float* a, const float* b, float* c, int k, int n, int i0) {
+  MmBandBody<MR>(a, b, c, k, n, i0);
 }
 #endif  // x86
 
-#undef AGSC_MM_TILE_BODY
+using MmBandFn = void (*)(const float*, const float*, float*, int, int, int);
 
-// Scalar remainder: identical ascending-p chain per element.
-void MmEdge(const float* a, const float* b, float* c, int k, int n, int i0,
-            int i1, int j0, int j1) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    for (int j = j0; j < j1; ++j) {
-      float s = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        s += arow[p] * b[static_cast<std::size_t>(p) * n + j];
-      }
-      crow[j] = s;
-    }
-  }
+// One tier's band kernels, indexed by row count - 1.
+#define AGSC_MM_BANDS(KERNEL)                                              \
+  {KERNEL<1>, KERNEL<2>, KERNEL<3>, KERNEL<4>,                             \
+   KERNEL<5>, KERNEL<6>, KERNEL<7>, KERNEL<8>}
+
+const MmBandFn* MmBands([[maybe_unused]] GemmIsa isa) {
+  static constexpr MmBandFn kGeneric[kMmMr] = AGSC_MM_BANDS(MmBandGeneric);
+#if defined(__x86_64__) || defined(__i386__)
+  static constexpr MmBandFn kAvx2[kMmMr] = AGSC_MM_BANDS(MmBandAvx2);
+  static constexpr MmBandFn kAvx512[kMmMr] = AGSC_MM_BANDS(MmBandAvx512);
+  if (isa == GemmIsa::kAvx512) return kAvx512;
+  if (isa == GemmIsa::kAvx2) return kAvx2;
+#endif
+  return kGeneric;
 }
 
-void MmRange(const float* a, const float* b, float* c, int k, int n, int r0,
-             int r1) {
-  auto* tile = MmTileGeneric;
-#if defined(__x86_64__) || defined(__i386__)
-  if (Isa() == IsaLevel::kAvx512) {
-    tile = MmTileAvx512;
-  } else if (Isa() == IsaLevel::kAvx2) {
-    tile = MmTileAvx2;
-  }
-#endif
+#undef AGSC_MM_BANDS
+
+// Full 8-row bands, then the m % 8 remainder rows as one shorter band.
+void MmRange(GemmIsa isa, const float* a, const float* b, float* c, int k,
+             int n, int r0, int r1) {
+  const MmBandFn* bands = MmBands(isa);
   int i0 = r0;
-  for (; i0 + kMmMr <= r1; i0 += kMmMr) {
-    int j0 = 0;
-    for (; j0 + kMmNr <= n; j0 += kMmNr) tile(a, b, c, k, n, i0, j0);
-    if (j0 < n) MmEdge(a, b, c, k, n, i0, i0 + kMmMr, j0, n);
-  }
-  if (i0 < r1) MmEdge(a, b, c, k, n, i0, r1, 0, n);
+  for (; i0 + kMmMr <= r1; i0 += kMmMr) bands[kMmMr - 1](a, b, c, k, n, i0);
+  if (i0 < r1) bands[r1 - i0 - 1](a, b, c, k, n, i0);
 }
 
 // --- TransposedA family: C[i][j] = sum_p A[p][i]*B[p][j], A is k x m ------
@@ -536,13 +619,13 @@ void MtaEdge(const float* a, const float* b, float* c, int k, int m, int n,
   }
 }
 
-void MtaRange(const float* a, const float* b, float* c, int k, int m, int n,
-              int r0, int r1) {
+void MtaRange([[maybe_unused]] GemmIsa isa, const float* a, const float* b,
+              float* c, int k, int m, int n, int r0, int r1) {
   auto* tile = MtaTileGeneric;
 #if defined(__x86_64__) || defined(__i386__)
-  if (Isa() == IsaLevel::kAvx512) {
+  if (isa == GemmIsa::kAvx512) {
     tile = MtaTileAvx512;
-  } else if (Isa() == IsaLevel::kAvx2) {
+  } else if (isa == GemmIsa::kAvx2) {
     tile = MtaTileAvx2;
   }
 #endif
@@ -595,13 +678,13 @@ TbTileAvx512(const float* a, const float* b, float* c, int k, int n, int i,
 
 #undef AGSC_TB_TILE_BODY
 
-void TbRange(const float* a, const float* b, float* c, int k, int n, int r0,
-             int r1) {
+void TbRange([[maybe_unused]] GemmIsa isa, const float* a, const float* b,
+             float* c, int k, int n, int r0, int r1) {
   auto* tile = TbTileGeneric;
 #if defined(__x86_64__) || defined(__i386__)
-  if (Isa() == IsaLevel::kAvx512) {
+  if (isa == GemmIsa::kAvx512) {
     tile = TbTileAvx512;
-  } else if (Isa() == IsaLevel::kAvx2) {
+  } else if (isa == GemmIsa::kAvx2) {
     tile = TbTileAvx2;
   }
 #endif
@@ -691,13 +774,16 @@ KernelConfig GetKernelConfig() {
   return s.config;
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
+namespace {
+
+// Blocked GEMMs at tier `isa`, output rows split as `plan` says. Each checks
+// its shapes; the naive references check their own.
+Tensor RunMatMul(const Tensor& a, const Tensor& b, GemmIsa isa,
+                 const GemmPlan& plan) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("MatMul: inner dims " + a.ShapeString() +
                                 " vs " + b.ShapeString());
   }
-  const GemmPlan plan = CurrentPlan();
-  if (plan.gemm == GemmKernel::kNaive) return internal::NaiveMatMul(a, b);
   const int m = a.rows(), k = a.cols(), n = b.cols();
   Tensor c(m, n);
   if (m == 0 || n == 0) return c;
@@ -705,19 +791,16 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* bp = b.data();
   float* cp = c.data();
   RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    MmRange(ap, bp, cp, k, n, r0, r1);
+    MmRange(isa, ap, bp, cp, k, n, r0, r1);
   });
   return c;
 }
 
-Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
+Tensor RunMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa,
+                            const GemmPlan& plan) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("MatMulTransposedB: dims " + a.ShapeString() +
                                 " vs " + b.ShapeString());
-  }
-  const GemmPlan plan = CurrentPlan();
-  if (plan.gemm == GemmKernel::kNaive) {
-    return internal::NaiveMatMulTransposedB(a, b);
   }
   const int m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c(m, n);
@@ -726,19 +809,16 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   const float* bp = b.data();
   float* cp = c.data();
   RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    TbRange(ap, bp, cp, k, n, r0, r1);
+    TbRange(isa, ap, bp, cp, k, n, r0, r1);
   });
   return c;
 }
 
-Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
+Tensor RunMatMulTransposedA(const Tensor& a, const Tensor& b, GemmIsa isa,
+                            const GemmPlan& plan) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("MatMulTransposedA: dims " + a.ShapeString() +
                                 " vs " + b.ShapeString());
-  }
-  const GemmPlan plan = CurrentPlan();
-  if (plan.gemm == GemmKernel::kNaive) {
-    return internal::NaiveMatMulTransposedA(a, b);
   }
   const int m = a.cols(), k = a.rows(), n = b.cols();
   Tensor c(m, n);
@@ -747,9 +827,64 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const float* bp = b.data();
   float* cp = c.data();
   RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    MtaRange(ap, bp, cp, k, m, n, r0, r1);
+    MtaRange(isa, ap, bp, cp, k, m, n, r0, r1);
   });
   return c;
 }
+
+constexpr GemmPlan kSerialBlocked{GemmKernel::kBlocked, 0, nullptr};
+
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  const GemmPlan plan = CurrentPlan();
+  if (plan.gemm == GemmKernel::kNaive) return internal::NaiveMatMul(a, b);
+  return RunMatMul(a, b, Isa(), plan);
+}
+
+Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
+  const GemmPlan plan = CurrentPlan();
+  if (plan.gemm == GemmKernel::kNaive) {
+    return internal::NaiveMatMulTransposedB(a, b);
+  }
+  return RunMatMulTransposedB(a, b, Isa(), plan);
+}
+
+Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
+  const GemmPlan plan = CurrentPlan();
+  if (plan.gemm == GemmKernel::kNaive) {
+    return internal::NaiveMatMulTransposedA(a, b);
+  }
+  return RunMatMulTransposedA(a, b, Isa(), plan);
+}
+
+namespace internal {
+
+std::vector<GemmIsa> SupportedGemmIsas() {
+  std::vector<GemmIsa> tiers;
+  for (int t = 0; t <= static_cast<int>(Isa()); ++t) {
+    tiers.push_back(static_cast<GemmIsa>(t));
+  }
+  return tiers;
+}
+
+Tensor BlockedMatMul(const Tensor& a, const Tensor& b, GemmIsa isa) {
+  RequireTier(isa);
+  return RunMatMul(a, b, isa, kSerialBlocked);
+}
+
+Tensor BlockedMatMulTransposedB(const Tensor& a, const Tensor& b,
+                                GemmIsa isa) {
+  RequireTier(isa);
+  return RunMatMulTransposedB(a, b, isa, kSerialBlocked);
+}
+
+Tensor BlockedMatMulTransposedA(const Tensor& a, const Tensor& b,
+                                GemmIsa isa) {
+  RequireTier(isa);
+  return RunMatMulTransposedA(a, b, isa, kSerialBlocked);
+}
+
+}  // namespace internal
 
 }  // namespace agsc::nn

@@ -178,6 +178,20 @@ Tensor NaiveMatMul(const Tensor& a, const Tensor& b);
 Tensor NaiveMatMulTransposedB(const Tensor& a, const Tensor& b);
 Tensor NaiveMatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// SIMD tiers of the blocked GEMM kernels, lowest first. MatMul et al. run
+/// the highest one the CPU supports (ActiveGemmIsaName).
+enum class GemmIsa { kGeneric, kAvx2, kAvx512 };
+
+/// Every tier this CPU can run, lowest first; always starts with kGeneric.
+std::vector<GemmIsa> SupportedGemmIsas();
+
+/// The blocked kernels run serially at a forced tier, so the bit-exactness
+/// sweep covers the tiers below the one MatMul dispatches to. Throws
+/// std::invalid_argument for a tier this CPU cannot run.
+Tensor BlockedMatMul(const Tensor& a, const Tensor& b, GemmIsa isa);
+Tensor BlockedMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa);
+Tensor BlockedMatMulTransposedA(const Tensor& a, const Tensor& b, GemmIsa isa);
+
 /// Per-thread buffer-pool counters (for this calling thread).
 struct BufferPoolStats {
   long long acquires = 0;    ///< Total AcquireBuffer calls.

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 
@@ -14,21 +16,25 @@ namespace agsc::util {
 
 namespace {
 
-uint32_t Crc32Table(int i) {
-  // Computed lazily once; identical to the nn/serialize table.
-  static const auto table = [] {
-    std::vector<uint32_t> t(256);
-    for (uint32_t n = 0; n < 256; ++n) {
-      uint32_t c = n;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[n] = c;
+// Slicing-by-8 tables: kCrc[0] is the bytewise table of the reflected
+// polynomial 0xEDB88320; kCrc[s][b] advances kCrc[s-1][b] by one zero byte,
+// so eight table lookups fold in eight input bytes at once.
+constexpr auto kCrc = [] {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  for (uint32_t n = 0; n < 256; ++n) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table[static_cast<size_t>(i)];
-}
+    t[0][n] = c;
+  }
+  for (size_t s = 1; s < t.size(); ++s) {
+    for (size_t n = 0; n < 256; ++n) {
+      t[s][n] = (t[s - 1][n] >> 8) ^ t[0][t[s - 1][n] & 0xFFu];
+    }
+  }
+  return t;
+}();
 
 long RemainingMs(const std::chrono::steady_clock::time_point& deadline) {
   const auto now = std::chrono::steady_clock::now();
@@ -39,11 +45,22 @@ long RemainingMs(const std::chrono::steady_clock::time_point& deadline) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
+  // The 8-byte step reads the running CRC's low byte as the first input
+  // byte, which holds on little-endian targets only (see the frame layout).
+  static_assert(std::endian::native == std::endian::little);
   uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    c = Crc32Table(static_cast<int>((c ^ p[i]) & 0xFFu)) ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

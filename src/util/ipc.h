@@ -11,8 +11,8 @@ namespace agsc::util {
 
 /// CRC-32 (IEEE reflected polynomial 0xEDB88320) over `n` bytes; chainable
 /// via `seed` (pass a previous return value to continue a running checksum).
-/// Bit-compatible with nn::Crc32 — the checkpoint format and the IPC frames
-/// share one checksum definition.
+/// The one checksum of the repository: IPC frames and checkpoint files
+/// (nn/serialize) both use it.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Length-prefixed, checksummed, sequence-numbered frames over a pipe or a

@@ -94,22 +94,8 @@ std::vector<nn::Tensor> ActorSnapshot(core::HiMadrlTrainer& trainer,
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 and the raw v2 encode/decode layer.
+// The raw v2 encode/decode layer (its CRC-32 is tested in util_test).
 // ---------------------------------------------------------------------------
-
-TEST(Crc32Test, KnownAnswer) {
-  const char* text = "123456789";
-  EXPECT_EQ(nn::Crc32(text, 9), 0xCBF43926u);
-  EXPECT_EQ(nn::Crc32(text, 0), 0u);
-}
-
-TEST(Crc32Test, ChunkedMatchesWhole) {
-  const std::string data = "the quick brown fox jumps over the lazy dog";
-  const uint32_t whole = nn::Crc32(data.data(), data.size());
-  const uint32_t first = nn::Crc32(data.data(), 10);
-  const uint32_t chunked = nn::Crc32(data.data() + 10, data.size() - 10, first);
-  EXPECT_EQ(whole, chunked);
-}
 
 nn::Checkpoint SampleCheckpoint() {
   nn::Checkpoint ckpt;

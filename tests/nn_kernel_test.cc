@@ -2,7 +2,8 @@
 // kernels:
 //  - blocked GEMMs are bit-identical to the retained naive references over a
 //    shape sweep that straddles every tile boundary (including empty, 1xN,
-//    Nx1, and non-square shapes);
+//    Nx1, and non-square shapes) and covers the workloads' own shapes, at
+//    every SIMD tier the CPU supports;
 //  - the row-partitioned parallel path produces the same bits for any
 //    nn_threads value (the determinism contract of KernelConfig);
 //  - the fused graph ops (LinearActivate / AddScaled / SquareScale) match
@@ -71,7 +72,12 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const std::string& tag) {
 // Shape sweep: every (m, k, n) below exercises at least one of — empty
 // operands, single row/column, dims below one tile, dims exactly on a tile
 // boundary (8 rows / 32 columns / 8 TB-columns), and dims that straddle a
-// boundary by one.
+// boundary by one. The second block gives every row count below one 8-row
+// tile with full 32-column tiles, then the shapes the workloads run: a
+// 4-row rollout step and a 1-row served request through the first actor
+// layer at 1000 and 100 PoIs, and minibatch-sized critic (1), actor (2)
+// and i-EOI (4) heads. The last two carry remainder columns across more
+// than one 256-value panel of k.
 struct GemmShape {
   int m, k, n;
 };
@@ -81,33 +87,57 @@ const std::vector<GemmShape>& SweepShapes() {
       {0, 0, 0},  {0, 5, 3},   {4, 0, 3},   {4, 5, 0},   {1, 1, 1},
       {1, 7, 33}, {33, 7, 1},  {7, 9, 31},  {8, 16, 32}, {9, 17, 33},
       {16, 3, 8}, {31, 31, 7}, {32, 8, 64}, {65, 2, 9},  {13, 40, 29},
+      {1, 5, 32}, {2, 9, 33},  {3, 17, 64}, {4, 7, 65},  {5, 3, 40},
+      {6, 12, 96}, {7, 31, 70}, {4, 3012, 128}, {1, 312, 128},
+      {256, 64, 1}, {256, 64, 2}, {256, 64, 4}, {9, 600, 34}, {5, 257, 3},
   };
   return shapes;
 }
 
+const char* TierName(nn::internal::GemmIsa isa) {
+  switch (isa) {
+    case nn::internal::GemmIsa::kGeneric: return "generic";
+    case nn::internal::GemmIsa::kAvx2: return "avx2";
+    case nn::internal::GemmIsa::kAvx512: return "avx512";
+  }
+  return "?";
+}
+
 TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
+  // Every tier the CPU supports, not just the one MatMul dispatches to, so
+  // the generic and AVX2 tiles are checked on an AVX-512 host too.
+  const std::vector<nn::internal::GemmIsa> tiers =
+      nn::internal::SupportedGemmIsas();
+  ASSERT_EQ(tiers.front(), nn::internal::GemmIsa::kGeneric);
+  ASSERT_STREQ(TierName(tiers.back()), nn::ActiveGemmIsaName());
   KernelConfigGuard guard;
+  nn::SetKernelConfig(KernelConfig{});  // Blocked, serial.
   util::Rng rng(1234);
   for (const GemmShape& s : SweepShapes()) {
     const Tensor a = RandomTensor(s.m, s.k, rng);
     const Tensor b = RandomTensor(s.k, s.n, rng);
     const Tensor at = RandomTensor(s.k, s.m, rng);  // A^T for TransposedA.
     const Tensor bt = RandomTensor(s.n, s.k, rng);  // B^T for TransposedB.
+    const Tensor mm = nn::internal::NaiveMatMul(a, b);
+    const Tensor tb = nn::internal::NaiveMatMulTransposedB(a, bt);
+    const Tensor ta = nn::internal::NaiveMatMulTransposedA(at, b);
 
-    KernelConfig config;
-    config.gemm = GemmKernel::kBlocked;
-    config.nn_threads = 0;
-    nn::SetKernelConfig(config);
     const std::string tag = "shape " + std::to_string(s.m) + "x" +
                             std::to_string(s.k) + "x" + std::to_string(s.n);
-    ExpectBitEqual(nn::MatMul(a, b), nn::internal::NaiveMatMul(a, b),
-                   "MatMul " + tag);
-    ExpectBitEqual(nn::MatMulTransposedB(a, bt),
-                   nn::internal::NaiveMatMulTransposedB(a, bt),
+    ExpectBitEqual(nn::MatMul(a, b), mm, "MatMul " + tag);
+    ExpectBitEqual(nn::MatMulTransposedB(a, bt), tb,
                    "MatMulTransposedB " + tag);
-    ExpectBitEqual(nn::MatMulTransposedA(at, b),
-                   nn::internal::NaiveMatMulTransposedA(at, b),
+    ExpectBitEqual(nn::MatMulTransposedA(at, b), ta,
                    "MatMulTransposedA " + tag);
+    for (nn::internal::GemmIsa isa : tiers) {
+      const std::string tier = tag + " tier " + TierName(isa);
+      ExpectBitEqual(nn::internal::BlockedMatMul(a, b, isa), mm,
+                     "MatMul " + tier);
+      ExpectBitEqual(nn::internal::BlockedMatMulTransposedB(a, bt, isa), tb,
+                     "MatMulTransposedB " + tier);
+      ExpectBitEqual(nn::internal::BlockedMatMulTransposedA(at, b, isa), ta,
+                     "MatMulTransposedA " + tier);
+    }
   }
 }
 

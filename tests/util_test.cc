@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -322,6 +323,56 @@ TEST(EnvFlagsTest, BenchScaleDefaultsToSmoke) {
   setenv("AGSC_BENCH_SCALE", "paper", 1);
   EXPECT_EQ(GetBenchScale(), BenchScale::kPaper);
   unsetenv("AGSC_BENCH_SCALE");
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: the checksum of IPC frames and checkpoint files.
+// ---------------------------------------------------------------------------
+
+TEST(Crc32Test, KnownAnswer) {
+  const char* text = "123456789";
+  EXPECT_EQ(Crc32(text, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(text, 0), 0u);
+}
+
+TEST(Crc32Test, ChunkedMatchesWhole) {
+  const std::string data = "the quick brown fox jumps over the lazy dog";
+  const uint32_t whole = Crc32(data.data(), data.size());
+  const uint32_t first = Crc32(data.data(), 10);
+  const uint32_t chunked = Crc32(data.data() + 10, data.size() - 10, first);
+  EXPECT_EQ(whole, chunked);
+}
+
+/// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+/// table-driven Crc32 must equal.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  // Random lengths (0, sub-8 tails, multi-block), start offsets that leave
+  // the 8-byte loads unaligned, and chained seeds.
+  Rng rng(2024);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& byte : buf) {
+    byte = static_cast<unsigned char>(rng.UniformInt(uint64_t{256}));
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t offset = rng.UniformInt(uint64_t{8});
+    const size_t len = rng.UniformInt(uint64_t{4097});
+    const uint32_t seed =
+        trial % 4 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64());
+    EXPECT_EQ(Crc32(buf.data() + offset, len, seed),
+              BytewiseCrc32(buf.data() + offset, len, seed))
+        << "offset " << offset << " len " << len << " seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------

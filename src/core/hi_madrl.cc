@@ -6,10 +6,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 
 #include "core/oracle_guard.h"
 #include "core/ppo.h"
+#include "core/vec_sampler.h"
 #include "nn/serialize.h"
 #include "util/fault_inject.h"
 #include "util/logging.h"
@@ -49,6 +51,11 @@ HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
       config_(config),
       rng_(config.seed),
       buffer_(env.num_agents()) {
+  if (config_.num_workers < 1) {
+    throw std::invalid_argument(
+        "TrainConfig::num_workers must be >= 1, got " +
+        std::to_string(config_.num_workers));
+  }
   // Install the NN kernel selection before any network is built. The config
   // is process-wide; with several trainers alive the last one constructed
   // wins, which is fine — every kernel choice is bit-identical, only speed
@@ -115,31 +122,17 @@ HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
     // never forks.
     ProcSampler::Options opts;
     opts.worker_binary = config_.worker_binary;
-    opts.step_deadline_ms = config_.watchdog_ms;
     opts.respawn_backoff = config_.worker_respawn;
     opts.max_respawns = config_.worker_max_respawns;
     opts.listen_address = config_.listen_address;
-    proc_sampler_ = std::make_unique<ProcSampler>(
+    sampler_ = std::make_unique<ProcSampler>(
         env_, rng_, config_.proc_workers, config_.seed, std::move(opts));
-    if (config_.stop_check) proc_sampler_->set_stop_check(config_.stop_check);
-  } else if (config_.num_workers >= 1) {
+  } else {
     sampler_ = std::make_unique<VecSampler>(env_, rng_, config_.num_workers,
                                             config_.seed);
-    if (config_.stop_check) sampler_->set_stop_check(config_.stop_check);
-    sampler_->set_step_deadline_ms(config_.watchdog_ms);
   }
-}
-
-int HiMadrlTrainer::SamplerWorkerCount() const {
-  if (proc_sampler_) return proc_sampler_->num_workers();
-  if (sampler_) return sampler_->num_workers();
-  return 1;
-}
-
-std::vector<util::Rng*> HiMadrlTrainer::SamplerSplitRngs() {
-  if (proc_sampler_) return proc_sampler_->SplitRngs();
-  if (sampler_) return sampler_->SplitRngs();
-  return {};
+  sampler_->set_stop_check(config_.stop_check);
+  sampler_->set_step_deadline_ms(config_.watchdog_ms);
 }
 
 std::vector<float> HiMadrlTrainer::ActorInput(
@@ -194,81 +187,11 @@ void HiMadrlTrainer::BatchAct(
 void HiMadrlTrainer::CollectRollouts() {
   buffer_.Clear();
   rollout_metrics_.clear();
-  const int num_agents = env_.num_agents();
-  if (proc_sampler_) {
-    proc_sampler_->Collect(
-        config_.episodes_per_iteration,
-        [this](int k, const std::vector<const std::vector<float>*>& obs_rows,
-               const std::vector<util::Rng*>& rngs,
-               std::vector<std::array<float, 2>>& actions_out,
-               std::vector<float>& logps_out) {
-          BatchAct(k, obs_rows, rngs, actions_out, logps_out);
-        },
-        buffer_, rollout_metrics_);
-    total_env_steps_ += static_cast<long>(config_.episodes_per_iteration) *
-                        env_.config().num_timeslots * num_agents;
-    return;
-  }
-  if (sampler_) {
-    sampler_->Collect(
-        config_.episodes_per_iteration,
-        [this](int k, const std::vector<const std::vector<float>*>& obs_rows,
-               const std::vector<util::Rng*>& rngs,
-               std::vector<std::array<float, 2>>& actions_out,
-               std::vector<float>& logps_out) {
-          BatchAct(k, obs_rows, rngs, actions_out, logps_out);
-        },
-        buffer_, rollout_metrics_);
-    total_env_steps_ += static_cast<long>(config_.episodes_per_iteration) *
-                        env_.config().num_timeslots * num_agents;
-    return;
-  }
-  // Legacy sequential sampler (num_workers == 0): the reference
-  // implementation the vectorized path is tested against. `cur`/`nxt` are
-  // double-buffered StepResults (see VecSampler::Collect): the out-param
-  // Step writes into nxt reusing its storage, then the two swap.
-  env::StepResult cur, nxt;
-  std::vector<env::UvAction> actions(num_agents);
-  std::vector<float> logps(num_agents);
-  std::vector<std::vector<float>> raw_actions(num_agents);
-  for (int e = 0; e < config_.episodes_per_iteration; ++e) {
-    env_.Reset(cur);
-    while (true) {
-      if (config_.stop_check && config_.stop_check()) {
-        throw util::InterruptedError(
-            "rollout interrupted by stop request (legacy sampler); partial "
-            "episodes discarded");
-      }
-      for (int k = 0; k < num_agents; ++k) {
-        raw_actions[k] =
-            Nets(k).actor->Act(ActorInput(k, cur.observations[k]), rng_,
-                               /*deterministic=*/false, &logps[k]);
-        actions[k] = {raw_actions[k][0], raw_actions[k][1]};
-      }
-      env_.Step(actions, nxt);
-      for (int k = 0; k < num_agents; ++k) {
-        AgentRollout& r = buffer_.agents[k];
-        r.obs.push_back(cur.observations[k]);
-        r.next_obs.push_back(nxt.observations[k]);
-        r.action_dir.push_back(raw_actions[k][0]);
-        r.action_speed.push_back(raw_actions[k][1]);
-        r.logp_old.push_back(logps[k]);
-        r.reward_ext.push_back(static_cast<float>(nxt.rewards[k]));
-        r.he_neighbors.push_back(env_.HeterogeneousNeighbors(k));
-        r.ho_neighbors.push_back(env_.HomogeneousNeighbors(k));
-        r.done.push_back(nxt.done ? 1 : 0);
-      }
-      buffer_.states.push_back(cur.state);
-      buffer_.next_states.push_back(nxt.state);
-      buffer_.done.push_back(nxt.done ? 1 : 0);
-      const bool episode_done = nxt.done;
-      std::swap(cur, nxt);
-      if (episode_done) break;
-    }
-    rollout_metrics_.push_back(env_.EpisodeMetrics());
-    total_env_steps_ +=
-        static_cast<long>(env_.config().num_timeslots) * num_agents;
-  }
+  sampler_->Collect(config_.episodes_per_iteration,
+                    std::bind_front(&HiMadrlTrainer::BatchAct, this), buffer_,
+                    rollout_metrics_);
+  total_env_steps_ += static_cast<long>(config_.episodes_per_iteration) *
+                      env_.config().num_timeslots * env_.num_agents();
 }
 
 float HiMadrlTrainer::CurrentOmegaIn() const {
@@ -890,26 +813,10 @@ void HiMadrlTrainer::RunOracleChecks() {
 }
 
 void HiMadrlTrainer::ApplyOracleFallbacks() {
-  if (env_fallback_) {
-    env_.DisableSpatialIndex();
-    if (sampler_) {
-      for (int w = 1; w < sampler_->num_workers(); ++w) {
-        sampler_->worker_env(w).DisableSpatialIndex();
-      }
-    }
-    // Subprocess replicas: sticky flag, carried to every worker by its
-    // next episode-prefix frame (and to respawned incarnations).
-    if (proc_sampler_) proc_sampler_->DisableSpatialIndex();
-  }
-  if (channel_fallback_) {
-    env_.DisableChannelBatch();
-    if (sampler_) {
-      for (int w = 1; w < sampler_->num_workers(); ++w) {
-        sampler_->worker_env(w).DisableChannelBatch();
-      }
-    }
-    if (proc_sampler_) proc_sampler_->DisableChannelBatch();
-  }
+  // The sampler downgrades the primary env and every rollout replica, and
+  // carries the flags to subprocess workers (respawned ones included).
+  if (env_fallback_) sampler_->DisableSpatialIndex();
+  if (channel_fallback_) sampler_->DisableChannelBatch();
   if (nn_fallback_ && nn::GetKernelConfig().gemm != nn::GemmKernel::kNaive) {
     nn::KernelConfig kernel_config = nn::GetKernelConfig();
     kernel_config.gemm = nn::GemmKernel::kNaive;
@@ -1074,9 +981,9 @@ constexpr char kSecLcf[] = "lcf";
 constexpr char kSecAdam[] = "adam";
 constexpr char kSecRng[] = "rng";
 constexpr char kSecCounters[] = "counters";
-// Extra RNG streams of rollout workers 1..W-1 when num_workers > 1:
-// first word = num_workers, then per worker {sampling, env} states
-// (kStateWords words each). Absent <=> the run had at most one worker.
+// Extra RNG streams of rollout workers 1..W-1 when the sampler has W > 1
+// workers: first word = W, then per worker {sampling, env} states
+// (kStateWords words each). Absent <=> the run had one worker.
 constexpr char kSecVecRng[] = "vrng";
 // counters section layout: iteration, total_env_steps, anomaly_streak,
 // actor_lr bits, critic_lr bits. Files written since the supervisor layer
@@ -1129,10 +1036,10 @@ bool HiMadrlTrainer::SaveCheckpoint(const std::string& path) {
                         (static_cast<uint64_t>(lr_backoff_count_)
                          << kBackoffCountShift)};
 
-  if (SamplerWorkerCount() > 1) {
+  if (sampler_->num_workers() > 1) {
     nn::CheckpointSection& vrng = ckpt.AddSection(kSecVecRng);
-    vrng.words.push_back(static_cast<uint64_t>(SamplerWorkerCount()));
-    for (util::Rng* stream : SamplerSplitRngs()) {
+    vrng.words.push_back(static_cast<uint64_t>(sampler_->num_workers()));
+    for (util::Rng* stream : sampler_->SplitRngs()) {
       for (uint64_t w : stream->SaveState()) vrng.words.push_back(w);
     }
   }
@@ -1323,10 +1230,10 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
     return false;
   }
   // Worker RNG streams: a checkpoint is only bit-exact to resume with the
-  // same num_workers, so a mismatch is rejected loudly. Files without a
-  // vrng section come from single-worker (or legacy-sampler) runs.
+  // same worker count, so a mismatch is rejected loudly. Files without a
+  // vrng section come from single-worker runs.
   const nn::CheckpointSection* vrng_sec = ckpt.Find(kSecVecRng);
-  const uint64_t my_workers = static_cast<uint64_t>(SamplerWorkerCount());
+  const uint64_t my_workers = static_cast<uint64_t>(sampler_->num_workers());
   const uint64_t file_workers =
       vrng_sec && !vrng_sec->words.empty() ? vrng_sec->words[0] : 1;
   if (file_workers != my_workers) {
@@ -1361,7 +1268,7 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
               util::Rng::kStateWords, rng_state.begin());
   env_.rng().LoadState(rng_state);
   if (vrng_sec != nullptr) {
-    const std::vector<util::Rng*> streams = SamplerSplitRngs();
+    const std::vector<util::Rng*> streams = sampler_->SplitRngs();
     for (size_t i = 0; i < streams.size(); ++i) {
       std::copy_n(vrng_sec->words.begin() + 1 + i * util::Rng::kStateWords,
                   util::Rng::kStateWords, rng_state.begin());

@@ -13,7 +13,7 @@
 #include "core/policy.h"
 #include "core/proc_sampler.h"
 #include "core/rollout.h"
-#include "core/vec_sampler.h"
+#include "core/sampler.h"
 #include "env/sc_env.h"
 #include "nn/optimizer.h"
 #include "util/retry.h"
@@ -93,12 +93,14 @@ struct TrainConfig {
   /// mid-collect the partial iteration is abandoned via
   /// util::InterruptedError; Train flushes a final checkpoint and rethrows.
   std::function<bool()> stop_check;
-  /// Watchdog deadline for each parallel rollout reset/step batch, in
-  /// milliseconds (0 = disabled). A hung worker turns into a
-  /// util::WatchdogTimeoutError naming the stuck worker and timeslot
-  /// instead of a deadlock. Effective only with num_workers > 1 (the
-  /// single-worker pool runs inline). Fail-fast: no checkpoint is flushed
-  /// on timeout, since the hung task may still be mutating trainer state.
+  /// Rollout step deadline in milliseconds (0 = disabled), passed to the
+  /// sampler as its step deadline. In process it bounds each parallel
+  /// reset/step batch with num_workers > 1 (the single-worker pool runs
+  /// inline, so it never fires): a hung worker turns into a
+  /// util::WatchdogTimeoutError naming the stuck worker and timeslot, and
+  /// no checkpoint is flushed since the hung task may still be mutating
+  /// trainer state. With proc_workers > 0 it is the per-frame read/write
+  /// deadline instead, and a miss is recovered by respawn and replay.
   long watchdog_ms = 0;
   /// Run the oracle self-checks (indexed env vs naive linear scan, blocked
   /// GEMM vs naive reference) at the start of every `oracle_check_every`-th
@@ -123,14 +125,13 @@ struct TrainConfig {
   int checkpoint_keep = 3;
 
   // --- Parallel rollout collection ---
-  /// Rollout workers for on-policy sampling. 1 (the default) runs the
-  /// vectorized sampler with a single worker, which is bit-identical to the
-  /// legacy sequential sampler and spawns no threads. W > 1 runs W
-  /// independent environment replicas in lock-step on a thread pool with
-  /// per-worker `Rng::Split` streams; results are bit-identical for a given
-  /// (seed, num_workers) pair and independent of thread scheduling. 0
-  /// selects the legacy sequential sampler directly (reference
-  /// implementation, kept for the equivalence tests).
+  /// In-process rollout workers for on-policy sampling (>= 1; the trainer
+  /// constructor throws std::invalid_argument otherwise). 1 (the default)
+  /// steps the primary environment on the caller's thread and spawns no
+  /// threads. W > 1 runs W independent environment replicas in lock-step on
+  /// a thread pool with per-worker `Rng::Split` streams; results are
+  /// bit-identical for a given (seed, num_workers) pair and independent of
+  /// thread scheduling.
   int num_workers = 1;
 
   // --- Crash-isolated subprocess rollout collection ---
@@ -251,9 +252,9 @@ class HiMadrlTrainer : public Policy {
 
   /// Runs one round of on-policy sampling (Algorithm 1, Lines 5-11) into
   /// the shared buffer: `config.episodes_per_iteration` episodes through
-  /// the vectorized sampler (`num_workers >= 1`) or the legacy sequential
-  /// loop (`num_workers == 0`). Public so the sampling-throughput bench and
-  /// the determinism tests can drive collection without a policy update.
+  /// the sampler (in-process or subprocess workers). Public so the
+  /// sampling-throughput bench and the determinism tests can drive
+  /// collection without a policy update.
   void CollectRollouts();
 
   /// The shared on-policy buffer filled by CollectRollouts.
@@ -327,9 +328,7 @@ class HiMadrlTrainer : public Policy {
   /// port the sampler is listening on — resolves a port-0 listen address
   /// to the kernel's choice so the CLI can publish it (--port-file) before
   /// any worker connects. 0 in every other sampler mode.
-  int SamplerBoundPort() const {
-    return proc_sampler_ ? proc_sampler_->bound_port() : 0;
-  }
+  int SamplerBoundPort() const { return sampler_->bound_port(); }
 
  private:
   struct AgentNets {
@@ -356,8 +355,8 @@ class HiMadrlTrainer : public Policy {
                                  const std::vector<float>& state) const;
 
   /// Batched action selection across rollout workers for agent `k` (the
-  /// VecSampler's BatchActFn): one actor forward over all rows, then
-  /// per-row sampling from each worker's private stream.
+  /// Sampler's BatchActFn): one actor forward over all rows, then per-row
+  /// sampling from each worker's private stream.
   void BatchAct(int k, const std::vector<const std::vector<float>*>& obs_rows,
                 const std::vector<util::Rng*>& rngs,
                 std::vector<std::array<float, 2>>& actions_out,
@@ -391,18 +390,11 @@ class HiMadrlTrainer : public Policy {
   /// (after a self-check mismatch or a checkpoint restore).
   void ApplyOracleFallbacks();
 
-  /// Worker count of whichever sampler is active (1 for the legacy
-  /// sequential sampler) — the value the checkpoint `vrng` section keys on.
-  int SamplerWorkerCount() const;
-  /// Extra per-worker RNG streams of the active sampler in checkpoint
-  /// order; empty for the legacy sampler.
-  std::vector<util::Rng*> SamplerSplitRngs();
-
   env::ScEnv& env_;
   TrainConfig config_;
   util::Rng rng_;
-  std::unique_ptr<VecSampler> sampler_;  ///< Null when num_workers == 0.
-  std::unique_ptr<ProcSampler> proc_sampler_;  ///< Set when proc_workers > 0.
+  /// VecSampler, or ProcSampler when proc_workers > 0.
+  std::unique_ptr<Sampler> sampler_;
   std::vector<AgentNets> nets_;
   std::unique_ptr<ValueNet> value_all_;       ///< V_all on the state.
   std::unique_ptr<nn::Adam> value_all_opt_;

@@ -13,16 +13,10 @@
 #include <utility>
 
 #include "util/logging.h"
-#include "util/shutdown.h"
 
 namespace agsc::core {
 
 namespace {
-
-// Same stream-id layout as VecSampler: worker w > 0 samples from id 2w and
-// steps its environment from id 2w+1; worker 0 owns no split ids.
-uint64_t SampleStreamId(int w) { return 2 * static_cast<uint64_t>(w); }
-uint64_t EnvStreamId(int w) { return 2 * static_cast<uint64_t>(w) + 1; }
 
 // Extra read budget for an episode-prefix reply from a fresh incarnation:
 // the worker first rebuilds its dataset/env, which the per-step deadline
@@ -39,18 +33,14 @@ long RemainingMs(const std::chrono::steady_clock::time_point& deadline) {
 
 ProcSampler::ProcSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
                          int num_workers, uint64_t seed, Options options)
-    : primary_env_(primary_env),
-      primary_rng_(primary_rng),
-      num_workers_(num_workers),
+    : Sampler(primary_env, primary_rng, num_workers, seed),
       options_(std::move(options)) {
-  if (num_workers < 1) {
-    throw std::invalid_argument("ProcSampler: num_workers must be >= 1");
-  }
   if (!remote() && options_.worker_binary.empty()) {
     throw std::invalid_argument("ProcSampler: worker_binary is required");
   }
+  set_step_deadline_ms(options_.step_deadline_ms);
   map::CampusId campus;
-  if (!CampusIdFromName(primary_env_.dataset().campus.name, campus)) {
+  if (!CampusIdFromName(primary_env.dataset().campus.name, campus)) {
     throw std::invalid_argument(
         "ProcSampler: environment dataset is not a named campus; worker "
         "processes cannot rebuild it");
@@ -77,12 +67,9 @@ ProcSampler::ProcSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
                     << listener_.bound_port();
   }
 
-  const util::Rng base(seed);
-  sample_rngs_.reserve(static_cast<size_t>(num_workers - 1));
   env_mirrors_.reserve(static_cast<size_t>(num_workers - 1));
   for (int w = 1; w < num_workers; ++w) {
-    sample_rngs_.push_back(base.Split(SampleStreamId(w)));
-    env_mirrors_.push_back(base.Split(EnvStreamId(w)));
+    env_mirrors_.push_back(InitialEnvStream(w));
   }
   workers_.resize(static_cast<size_t>(num_workers));
   episode_rng_.resize(static_cast<size_t>(num_workers));
@@ -114,23 +101,9 @@ ProcSampler::~ProcSampler() {
   }
 }
 
-util::Rng& ProcSampler::sample_rng(int w) {
-  return w == 0 ? primary_rng_ : sample_rngs_[static_cast<size_t>(w - 1)];
-}
-
 util::Rng& ProcSampler::env_stream(int w) {
-  return w == 0 ? primary_env_.rng()
+  return w == 0 ? primary_env().rng()
                 : env_mirrors_[static_cast<size_t>(w - 1)];
-}
-
-std::vector<util::Rng*> ProcSampler::SplitRngs() {
-  std::vector<util::Rng*> rngs;
-  rngs.reserve(2 * sample_rngs_.size());
-  for (int w = 1; w < num_workers_; ++w) {
-    rngs.push_back(&sample_rngs_[static_cast<size_t>(w - 1)]);
-    rngs.push_back(&env_mirrors_[static_cast<size_t>(w - 1)]);
-  }
-  return rngs;
 }
 
 void ProcSampler::ResetTransport(Worker& wk) {
@@ -205,7 +178,7 @@ bool ProcSampler::AttachRemote(int w) {
     if (status != util::IpcStatus::kOk || frame.type != kMsgRegister ||
         !DecodeWorkerRegister(frame.payload, reg) ||
         reg.protocol_version != kWorkerProtocolVersion ||
-        reg.worker_id < 0 || reg.worker_id >= num_workers_) {
+        reg.worker_id < 0 || reg.worker_id >= num_workers()) {
       AGSC_LOG(kWarning) << "proc sampler: rejected a connection with a bad "
                             "registration ("
                          << util::IpcStatusName(status) << ")";
@@ -227,8 +200,8 @@ bool ProcSampler::AttachRemote(int w) {
 bool ProcSampler::Handshake(int w) {
   Worker& wk = workers_[static_cast<size_t>(w)];
   WorkerInit init;
-  init.config = primary_env_.config();
-  if (!CampusIdFromName(primary_env_.dataset().campus.name, init.campus)) {
+  init.config = primary_env().config();
+  if (!CampusIdFromName(primary_env().dataset().campus.name, init.campus)) {
     return false;  // Unreachable: the ctor validated the name.
   }
   if (wk.writer->Write(kMsgInit, wk.out_seq++, EncodeWorkerInit(init),
@@ -247,9 +220,9 @@ bool ProcSampler::Handshake(int w) {
       !DecodeWorkerHello(frame.payload, hello) ||
       hello.protocol_version != kWorkerProtocolVersion ||
       hello.worker_id != w ||
-      hello.num_agents != primary_env_.num_agents() ||
-      hello.obs_dim != primary_env_.obs_dim() ||
-      hello.state_dim != primary_env_.state_dim()) {
+      hello.num_agents != primary_env().num_agents() ||
+      hello.obs_dim != primary_env().obs_dim() ||
+      hello.state_dim != primary_env().state_dim()) {
     AGSC_LOG(kWarning) << "proc sampler: worker " << w
                        << " handshake failed ("
                        << util::IpcStatusName(status) << ")";
@@ -311,8 +284,8 @@ void ProcSampler::FailWorker(int w, const std::string& why) {
 bool ProcSampler::SendPrefix(int w) {
   Worker& wk = workers_[static_cast<size_t>(w)];
   EpisodePrefix prefix;
-  prefix.flags = (naive_env_ ? kPrefixNaiveEnv : 0) |
-                 (scalar_channel_ ? kPrefixScalarChannel : 0);
+  prefix.flags = (naive_env() ? kPrefixNaiveEnv : 0) |
+                 (scalar_channel() ? kPrefixScalarChannel : 0);
   prefix.rng_state = episode_rng_[static_cast<size_t>(w)];
   prefix.replay = replay_log_[static_cast<size_t>(w)];
   pending_prefix_[static_cast<size_t>(w)] = 1;
@@ -322,7 +295,7 @@ bool ProcSampler::SendPrefix(int w) {
   // draining: kTimeout here escalates exactly like a read failure.
   const util::IpcStatus status =
       wk.writer->Write(kMsgEpisodePrefix, wk.out_seq++,
-                       EncodeEpisodePrefix(prefix), write_timeout_ms());
+                       EncodeEpisodePrefix(prefix), frame_timeout_ms());
   if (status == util::IpcStatus::kTimeout) {
     AGSC_LOG(kWarning) << "proc sampler: worker " << w
                        << " stopped draining its pipe (prefix write timed "
@@ -350,7 +323,7 @@ bool ProcSampler::SendStep(int w, const WorkerActions& actions) {
   Worker& wk = workers_[static_cast<size_t>(w)];
   pending_prefix_[static_cast<size_t>(w)] = 0;
   return wk.writer->Write(kMsgStep, wk.out_seq++, EncodeWorkerActions(actions),
-                          write_timeout_ms()) == util::IpcStatus::kOk;
+                          frame_timeout_ms()) == util::IpcStatus::kOk;
 }
 
 bool ProcSampler::ReadResult(int w, long timeout_ms, WorkerStepResult& out,
@@ -378,11 +351,11 @@ bool ProcSampler::ReadResult(int w, long timeout_ms, WorkerStepResult& out,
     if (why != nullptr) *why = "malformed result frame";
     return false;
   }
-  const size_t num_agents = static_cast<size_t>(primary_env_.num_agents());
-  const size_t obs_dim = static_cast<size_t>(primary_env_.obs_dim());
+  const size_t num_agents = static_cast<size_t>(primary_env().num_agents());
+  const size_t obs_dim = static_cast<size_t>(primary_env().obs_dim());
   bool shape_ok = out.observations.size() == num_agents &&
                   out.state.size() ==
-                      static_cast<size_t>(primary_env_.state_dim());
+                      static_cast<size_t>(primary_env().state_dim());
   for (const std::vector<float>& obs : out.observations) {
     shape_ok = shape_ok && obs.size() == obs_dim;
   }
@@ -405,10 +378,7 @@ WorkerStepResult ProcSampler::AwaitResult(int w) {
     WorkerStepResult result;
     bool ok = false;
     if (wk.connected) {
-      // 0 = "block forever" in Options terms, -1 on the IPC sentinel.
-      long timeout = options_.step_deadline_ms > 0
-                         ? options_.step_deadline_ms
-                         : -1;
+      long timeout = frame_timeout_ms();
       if (timeout > 0 && pending_prefix_[static_cast<size_t>(w)] != 0) {
         // A prefix reply covers env rebuild + silent replay of the episode
         // so far, not just one step.
@@ -445,170 +415,51 @@ WorkerStepResult ProcSampler::AwaitResult(int w) {
   }
 }
 
-void ProcSampler::Collect(int episodes, const BatchActFn& act,
-                          MultiAgentBuffer& buffer,
-                          std::vector<env::Metrics>& metrics) {
-  if (episodes <= 0) return;
-  collect_respawns_ = 0;
-  const int num_agents = primary_env_.num_agents();
-  const int w_count = num_workers_;
+void ProcSampler::ResetWorkers(const std::shared_ptr<CollectState>& st,
+                               int active, int round) {
+  if (round == 0) collect_respawns_ = 0;  // The budget is per Collect call.
+  for (int w = 0; w < active; ++w) {
+    episode_rng_[static_cast<size_t>(w)] = env_stream(w).SaveState();
+    replay_log_[static_cast<size_t>(w)].clear();
+    if (!workers_[static_cast<size_t>(w)].connected) SpawnWorker(w);
+    SendPrefix(w);  // Failures surface in AwaitResult and are recovered.
+  }
+  for (int w = 0; w < active; ++w) {
+    WorkerStepResult reset = AwaitResult(w);
+    env::StepResult& cur = st->cur[static_cast<size_t>(w)];
+    cur.observations = std::move(reset.observations);
+    cur.state = std::move(reset.state);
+  }
+}
 
-  // Worker-local outputs, merged in worker-index order at the end — the
-  // same merge contract as VecSampler, so the result never depends on
-  // worker timing.
-  std::vector<MultiAgentBuffer> wbufs;
-  wbufs.reserve(static_cast<size_t>(w_count));
-  for (int w = 0; w < w_count; ++w) wbufs.emplace_back(num_agents);
-  std::vector<std::vector<env::Metrics>> wmetrics(
-      static_cast<size_t>(w_count));
-  std::vector<WorkerStepResult> cur(static_cast<size_t>(w_count));
-  std::vector<WorkerActions> step_msgs(static_cast<size_t>(w_count));
-  std::vector<std::vector<std::array<float, 2>>> raw(
-      static_cast<size_t>(w_count),
-      std::vector<std::array<float, 2>>(static_cast<size_t>(num_agents)));
-  std::vector<std::vector<float>> logps(
-      static_cast<size_t>(w_count),
-      std::vector<float>(static_cast<size_t>(num_agents)));
-  std::vector<uint8_t> running;
-  std::vector<int> run_ids;
-
-  // Batched-action scratch, identical use to VecSampler::Collect.
-  std::vector<const std::vector<float>*> rows;
-  std::vector<util::Rng*> rngs;
-  std::vector<std::array<float, 2>> batch_actions;
-  std::vector<float> batch_logps;
-
-  const auto check_stop = [&](int round, int timeslot) {
-    if (stop_check_ && stop_check_()) {
-      std::ostringstream msg;
-      msg << "rollout interrupted by stop request (round " << round
-          << ", timeslot " << timeslot << "); partial episodes discarded";
-      throw util::InterruptedError(msg.str());
-    }
-  };
-
-  // Episodes are dealt round-robin, so each round's active workers form a
-  // prefix 0..active-1 of the worker indices.
-  const int rounds = (episodes + w_count - 1) / w_count;
-  for (int r = 0; r < rounds; ++r) {
-    check_stop(r, 0);
-    const int active = std::min(w_count, episodes - r * w_count);
-
-    // Episode starts: snapshot each worker's episode-start RNG position,
-    // send all prefixes first so the resets run concurrently, then collect
-    // the replies in worker order.
-    for (int w = 0; w < active; ++w) {
-      episode_rng_[static_cast<size_t>(w)] = env_stream(w).SaveState();
-      replay_log_[static_cast<size_t>(w)].clear();
-      if (!workers_[static_cast<size_t>(w)].connected) SpawnWorker(w);
-      SendPrefix(w);  // Failures surface in AwaitResult and are recovered.
-    }
-    for (int w = 0; w < active; ++w) {
-      cur[static_cast<size_t>(w)] = AwaitResult(w);
-    }
-
-    running.assign(static_cast<size_t>(active), 1);
-    int num_running = active;
-    int timeslot = 0;
-    while (num_running > 0) {
-      check_stop(r, timeslot);
-      run_ids.clear();
-      for (int w = 0; w < active; ++w) {
-        if (running[static_cast<size_t>(w)]) run_ids.push_back(w);
-      }
-
-      // Batched action selection on this thread: one forward per agent
-      // covering all running workers, each row sampled from its own worker
-      // stream in ascending worker order — the exact computation VecSampler
-      // performs, hence bit-equal actions and log-probs.
-      for (int w : run_ids) {
-        step_msgs[static_cast<size_t>(w)].per_agent.assign(
-            static_cast<size_t>(num_agents), {});
-      }
-      for (int k = 0; k < num_agents; ++k) {
-        rows.clear();
-        rngs.clear();
-        for (int w : run_ids) {
-          rows.push_back(
-              &cur[static_cast<size_t>(w)]
-                   .observations[static_cast<size_t>(k)]);
-          rngs.push_back(&sample_rng(w));
-        }
-        batch_actions.assign(run_ids.size(), {});
-        batch_logps.assign(run_ids.size(), 0.0f);
-        act(k, rows, rngs, batch_actions, batch_logps);
-        for (size_t i = 0; i < run_ids.size(); ++i) {
-          const int w = run_ids[i];
-          raw[static_cast<size_t>(w)][static_cast<size_t>(k)] =
-              batch_actions[i];
-          logps[static_cast<size_t>(w)][static_cast<size_t>(k)] =
-              batch_logps[i];
-          step_msgs[static_cast<size_t>(w)]
-              .per_agent[static_cast<size_t>(k)] = batch_actions[i];
-        }
-      }
-
-      // Send phase: record each action in the replay log *before* any I/O
-      // (a crash at any later point replays it), then fire all steps so
-      // the workers run their slots concurrently. Send failures are left
-      // for the read phase, which observes the dead pipe and recovers.
-      for (int w : run_ids) {
-        replay_log_[static_cast<size_t>(w)].push_back(
-            step_msgs[static_cast<size_t>(w)]);
-        if (workers_[static_cast<size_t>(w)].connected) {
-          SendStep(w, step_msgs[static_cast<size_t>(w)]);
-        }
-      }
-
-      // Read phase, ascending worker order. Any fault — EOF, timeout,
-      // checksum/sequence mismatch, shape mismatch — funnels through
-      // AwaitResult's respawn-and-replay loop and comes back as the exact
-      // result the healthy worker would have produced.
-      for (int w : run_ids) {
-        WorkerStepResult next = AwaitResult(w);
-        const bool episode_done = next.done;
-        MultiAgentBuffer& b = wbufs[static_cast<size_t>(w)];
-        const WorkerStepResult& prev = cur[static_cast<size_t>(w)];
-        for (int k = 0; k < num_agents; ++k) {
-          AgentRollout& ar = b.agents[static_cast<size_t>(k)];
-          ar.obs.push_back(prev.observations[static_cast<size_t>(k)]);
-          ar.next_obs.push_back(next.observations[static_cast<size_t>(k)]);
-          ar.action_dir.push_back(
-              raw[static_cast<size_t>(w)][static_cast<size_t>(k)][0]);
-          ar.action_speed.push_back(
-              raw[static_cast<size_t>(w)][static_cast<size_t>(k)][1]);
-          ar.logp_old.push_back(
-              logps[static_cast<size_t>(w)][static_cast<size_t>(k)]);
-          ar.reward_ext.push_back(
-              static_cast<float>(next.rewards[static_cast<size_t>(k)]));
-          const std::vector<int32_t>& he =
-              next.he_neighbors[static_cast<size_t>(k)];
-          const std::vector<int32_t>& ho =
-              next.ho_neighbors[static_cast<size_t>(k)];
-          ar.he_neighbors.emplace_back(he.begin(), he.end());
-          ar.ho_neighbors.emplace_back(ho.begin(), ho.end());
-          ar.done.push_back(next.done ? 1 : 0);
-        }
-        b.states.push_back(prev.state);
-        b.next_states.push_back(next.state);
-        b.done.push_back(next.done ? 1 : 0);
-        if (episode_done) {
-          wmetrics[static_cast<size_t>(w)].push_back(next.metrics);
-          running[static_cast<size_t>(w)] = 0;
-        }
-        cur[static_cast<size_t>(w)] = std::move(next);
-      }
-
-      num_running = 0;
-      for (uint8_t flag : running) num_running += flag != 0 ? 1 : 0;
-      ++timeslot;
-    }
+void ProcSampler::StepWorkers(const std::shared_ptr<CollectState>& st,
+                              int /*round*/, int /*timeslot*/) {
+  // Send phase: record each action in the replay log *before* any I/O (a
+  // crash at any later point replays it), then fire all steps so the
+  // workers run their slots concurrently. Send failures are left for the
+  // read phase, which observes the dead pipe and recovers.
+  for (int w : st->run_ids) {
+    std::vector<WorkerActions>& log = replay_log_[static_cast<size_t>(w)];
+    log.push_back(WorkerActions{st->raw[static_cast<size_t>(w)]});
+    if (workers_[static_cast<size_t>(w)].connected) SendStep(w, log.back());
   }
 
-  for (int w = 0; w < w_count; ++w) {
-    buffer.Append(wbufs[static_cast<size_t>(w)]);
-    metrics.insert(metrics.end(), wmetrics[static_cast<size_t>(w)].begin(),
-                   wmetrics[static_cast<size_t>(w)].end());
+  // Read phase, ascending worker order. Any fault — EOF, timeout,
+  // checksum/sequence mismatch, shape mismatch — funnels through
+  // AwaitResult's respawn-and-replay loop and comes back as the exact
+  // result the healthy worker would have produced.
+  for (int w : st->run_ids) {
+    const size_t wi = static_cast<size_t>(w);
+    WorkerStepResult result = AwaitResult(w);
+    env::StepResult& next = st->nxt[wi];
+    next.observations = std::move(result.observations);
+    next.state = std::move(result.state);
+    next.rewards = std::move(result.rewards);
+    next.done = result.done;
+    st->he[wi] = std::move(result.he_neighbors);
+    st->ho[wi] = std::move(result.ho_neighbors);
+    if (result.done) st->metrics[wi].push_back(result.metrics);
+    CommitStep(*st, w);
   }
 }
 

@@ -3,14 +3,13 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/vec_sampler.h"
+#include "core/sampler.h"
 #include "core/worker_protocol.h"
 #include "env/sc_env.h"
 #include "util/ipc.h"
@@ -31,10 +30,10 @@ class ProcWorkerError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Crash-isolated counterpart of VecSampler: N agsc_worker processes, each
+/// Crash-isolated transport of the Sampler: N agsc_worker processes, each
 /// owning one environment replica in its own address space, driven in
 /// lock-step over checksummed frames (core/worker_protocol). Two
-/// transports, one protocol:
+/// connection modes, one protocol:
 ///  * local (`--proc-workers N`): fork/exec subprocesses over stdin/stdout
 ///    pipes. A worker that dies, hangs past the step deadline, or emits a
 ///    damaged frame is SIGKILLed and respawned with bounded backoff.
@@ -48,39 +47,32 @@ class ProcWorkerError : public std::runtime_error {
 /// recorded episode-start RNG state plus the actions already issued — the
 /// final buffers and checkpoints are byte-identical to the fault-free run.
 ///
-/// Bit-exactness contract (pinned by proc_sampler_test and the chaos
-/// campaign): `--proc-workers N` and `--remote-workers N` produce rollout
-/// buffers, metrics, and checkpoints bit-identical to `--num-workers N`
-/// for the same seed. The pieces that make this hold:
-///  * identical RNG stream layout — worker w > 0 samples from
-///    Rng(seed).Split(2w) (trainer-side) and steps its env from
-///    Rng(seed).Split(2w+1) (worker-side, mirrored here); worker 0 aliases
-///    the primary trainer/env streams, so oracle checks and checkpoint
-///    save/load see the exact same streams as the in-process sampler;
-///  * action selection stays on the trainer: the same batched BatchActFn
-///    over the same rows in the same worker order, so every FP operation
-///    is literally the same computation;
-///  * floats cross the pipe as raw bit patterns, and results merge in
-///    worker-index order, independent of arrival timing.
+/// Every shard runs in a worker process, worker 0's included; only worker
+/// 0's env stream is the primary env's, mirrored after every reply, so
+/// oracle checks and checkpoints see the same streams as in process.
+/// Action selection stays on the trainer (the Sampler's batched BatchActFn
+/// over the same rows in the same worker order) and floats cross the wire
+/// as raw bit patterns, so `--proc-workers N` and `--remote-workers N`
+/// produce rollout buffers, metrics and checkpoints bit-identical to
+/// `--num-workers N` for the same seed (pinned by proc_sampler_test and
+/// the chaos campaign).
 ///
 /// Unlike VecSampler's fail-fast watchdog (a hung in-process worker can be
 /// mid-write anywhere in the shared address space), a ProcSampler timeout
 /// is recoverable: the straggler owns nothing but its own replica, so it is
 /// killed and replayed like any other crash.
-class ProcSampler {
+class ProcSampler : public Sampler {
  public:
-  using BatchActFn = VecSampler::BatchActFn;
-
   struct Options {
     /// Path to the agsc_worker binary. Required in local mode; unused when
     /// listen_address is set (remote workers are launched externally).
     std::string worker_binary;
-    /// Deadline per result-frame read AND per frame write in ms; 0 = block
-    /// forever (a hung worker then hangs collection, exactly like a
-    /// watchdog-less VecSampler). A bounded write matters as much as a
-    /// bounded read: a peer that stops draining its pipe/socket would
-    /// otherwise wedge the trainer's send path with no watchdog in front
-    /// of it. Settable later via set_step_deadline_ms.
+    /// Initial Sampler::step_deadline_ms: the deadline per result-frame
+    /// read AND per frame write in ms; 0 = block forever (a hung worker
+    /// then hangs collection, exactly like a watchdog-less VecSampler). A
+    /// bounded write matters as much as a bounded read: a peer that stops
+    /// draining its pipe/socket would otherwise wedge the trainer's send
+    /// path with no watchdog in front of it.
     long step_deadline_ms = 0;
     /// Backoff schedule between respawn/re-attach attempts of the same
     /// worker.
@@ -104,59 +96,36 @@ class ProcSampler {
     int send_buffer_bytes = 0;
   };
 
-  /// `num_workers` and `seed` define the RNG stream layout exactly as in
-  /// VecSampler(primary_env, primary_rng, num_workers, seed). Workers are
-  /// spawned lazily on first Collect(), so constructing a trainer (for
+  /// `num_workers` and `seed` define the Sampler stream layout. Each worker
+  /// is spawned lazily at its first episode, so constructing a trainer (for
   /// checkpoint surgery, tests, --iterations 0 runs) costs no processes.
+  /// Collect throws ProcWorkerError when the respawn budget runs out.
   ProcSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
               int num_workers, uint64_t seed, Options options);
-  ~ProcSampler();
-
-  ProcSampler(const ProcSampler&) = delete;
-  ProcSampler& operator=(const ProcSampler&) = delete;
-
-  /// Collects `episodes` episodes through the worker fleet into `buffer` /
-  /// `metrics`, dealing episodes round-robin across workers — the same
-  /// schedule, stream use, and merge order as VecSampler::Collect. Throws
-  /// util::InterruptedError on a stop request and ProcWorkerError when the
-  /// respawn budget runs out.
-  void Collect(int episodes, const BatchActFn& act, MultiAgentBuffer& buffer,
-               std::vector<env::Metrics>& metrics);
-
-  void set_stop_check(std::function<bool()> stop_check) {
-    stop_check_ = std::move(stop_check);
-  }
-  void set_step_deadline_ms(long deadline_ms) {
-    options_.step_deadline_ms = deadline_ms;
-  }
-
-  int num_workers() const { return num_workers_; }
-
-  /// Trainer-side sampling stream of worker `w` (0 = the primary rng).
-  util::Rng& sample_rng(int w);
-
-  /// Extra per-worker streams in checkpoint order, identical to
-  /// VecSampler::SplitRngs(): [sample_1, env_1, sample_2, env_2, ...].
-  /// The env entries are the trainer-side mirrors of the workers' states;
-  /// loading into them redirects the next episode prefix.
-  std::vector<util::Rng*> SplitRngs();
-
-  /// Sticky: every later episode prefix tells its worker to run the naive
-  /// linear-scan environment (the oracle-fallback path). The primary env is
-  /// the trainer's to downgrade.
-  void DisableSpatialIndex() { naive_env_ = true; }
-
-  /// Sticky: every later episode prefix tells its worker to run the scalar
-  /// per-link channel path (the batched-channel oracle fallback).
-  void DisableChannelBatch() { scalar_channel_ = true; }
+  ~ProcSampler() override;
 
   /// Total worker respawns over this sampler's lifetime (tests/stats).
   int respawn_count() const { return lifetime_respawns_; }
 
   /// Remote mode only: the TCP port workers must --connect to (resolves a
   /// port-0 listen_address); 0 in local mode.
-  int bound_port() const { return listener_.bound_port(); }
+  int bound_port() const override { return listener_.bound_port(); }
   bool remote() const { return !options_.listen_address.empty(); }
+
+ protected:
+  /// Trainer-side mirror of worker w's env stream (worker 0: the primary
+  /// env's); loading into it redirects the worker's next episode prefix.
+  util::Rng& env_stream(int w) override;
+  /// Snapshots each worker's episode-start RNG position, sends every
+  /// prefix first so the resets run concurrently, then reads the replies
+  /// in worker order.
+  void ResetWorkers(const std::shared_ptr<CollectState>& st, int active,
+                    int round) override;
+  /// Records each running worker's actions in its replay log, sends every
+  /// step before reading any reply, then reads the results in worker
+  /// order.
+  void StepWorkers(const std::shared_ptr<CollectState>& st, int round,
+                   int timeslot) override;
 
  private:
   struct Worker {
@@ -175,8 +144,6 @@ class ProcSampler {
     int fd = -1;
     std::unique_ptr<util::FrameReader> reader;
   };
-
-  util::Rng& env_stream(int w);
 
   /// Brings worker `w` up with retry/backoff: fork/exec (local) or claim a
   /// registration (remote), then the kMsgInit/kMsgHello handshake. Throws
@@ -214,23 +181,18 @@ class ProcSampler {
   bool ReadResult(int w, long timeout_ms, WorkerStepResult& out,
                   std::string* why);
 
-  /// Options::step_deadline_ms translated to the IPC sentinel (0 = "block
-  /// forever" becomes -1); bounds every steady-state frame write.
-  long write_timeout_ms() const {
-    return options_.step_deadline_ms > 0 ? options_.step_deadline_ms : -1;
+  /// step_deadline_ms() translated to the IPC sentinel (0 = "block
+  /// forever" becomes -1); bounds every steady-state frame read and write.
+  long frame_timeout_ms() const {
+    return step_deadline_ms() > 0 ? step_deadline_ms() : -1;
   }
 
-  env::ScEnv& primary_env_;
-  util::Rng& primary_rng_;
-  const int num_workers_;
   Options options_;
-  std::function<bool()> stop_check_;
 
   util::TcpListener listener_;                    ///< Remote mode only.
   std::unordered_map<int, PendingConn> parked_;   ///< Remote mode only.
 
-  std::vector<util::Rng> sample_rngs_;  ///< Workers 1..W-1.
-  std::vector<util::Rng> env_mirrors_;  ///< Workers 1..W-1 (0 = env_.rng()).
+  std::vector<util::Rng> env_mirrors_;  ///< Workers 1..W-1 (0 = primary).
   std::vector<Worker> workers_;
 
   /// Per-worker episode replay state: the env-RNG state the running episode
@@ -243,8 +205,6 @@ class ProcSampler {
   /// read deadline covering env rebuild + replay.
   std::vector<uint8_t> pending_prefix_;
 
-  bool naive_env_ = false;
-  bool scalar_channel_ = false;
   int collect_respawns_ = 0;
   int lifetime_respawns_ = 0;
 };

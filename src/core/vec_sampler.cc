@@ -1,103 +1,32 @@
 #include "core/vec_sampler.h"
 
-#include <algorithm>
 #include <chrono>
-#include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
-#include <utility>
 
 #include "util/fault_inject.h"
-#include "util/shutdown.h"
 
 namespace agsc::core {
 
-namespace {
-// Stream ids for Rng(seed).Split(): worker w > 0 draws its sampling stream
-// from id 2w and its environment stream from id 2w+1. Worker 0 uses the
-// primary streams and owns no split ids.
-uint64_t SampleStreamId(int w) { return 2 * static_cast<uint64_t>(w); }
-uint64_t EnvStreamId(int w) { return 2 * static_cast<uint64_t>(w) + 1; }
-}  // namespace
-
 VecSampler::VecSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
                        int num_workers, uint64_t seed)
-    : primary_env_(primary_env),
-      primary_rng_(primary_rng),
-      num_workers_(num_workers),
+    : Sampler(primary_env, primary_rng, num_workers, seed),
       // With one worker the pool runs inline on the caller's thread: the
       // single-worker path adds no threads and no handoff overhead.
       pool_(num_workers > 1 ? num_workers : 0) {
-  if (num_workers < 1) {
-    throw std::invalid_argument("VecSampler: num_workers must be >= 1");
-  }
-  const util::Rng base(seed);
-  replica_rngs_.reserve(static_cast<size_t>(num_workers - 1));
   for (int w = 1; w < num_workers; ++w) {
     replica_envs_.push_back(std::make_unique<env::ScEnv>(primary_env));
-    replica_envs_.back()->rng() = base.Split(EnvStreamId(w));
-    replica_rngs_.push_back(base.Split(SampleStreamId(w)));
+    replica_envs_.back()->rng() = InitialEnvStream(w);
   }
 }
 
 VecSampler::~VecSampler() = default;
 
-util::Rng& VecSampler::sample_rng(int w) {
-  return w == 0 ? primary_rng_ : replica_rngs_[static_cast<size_t>(w - 1)];
-}
-
 env::ScEnv& VecSampler::worker_env(int w) {
-  return w == 0 ? primary_env_ : *replica_envs_[static_cast<size_t>(w - 1)];
-}
-
-std::vector<util::Rng*> VecSampler::SplitRngs() {
-  std::vector<util::Rng*> rngs;
-  rngs.reserve(2 * replica_rngs_.size());
-  for (int w = 1; w < num_workers_; ++w) {
-    rngs.push_back(&replica_rngs_[static_cast<size_t>(w - 1)]);
-    rngs.push_back(&replica_envs_[static_cast<size_t>(w - 1)]->rng());
-  }
-  return rngs;
+  return w == 0 ? primary_env() : *replica_envs_[static_cast<size_t>(w - 1)];
 }
 
 namespace {
-
-// Worker-local collection state. Held behind a shared_ptr that every pool
-// task co-owns: if a watchdog deadline expires while a task is hung, Collect
-// throws and unwinds, but the straggler may still resume and finish its
-// writes — they must land in storage that outlives the call frame.
-struct CollectState {
-  std::vector<MultiAgentBuffer> wbufs;
-  std::vector<std::vector<env::Metrics>> wmetrics;
-  // `cur`/`nxt` are double-buffered StepResults: each step writes into
-  // nxt[w] (reusing its storage via the out-param Step) and then swaps, so
-  // the steady-state loop performs no per-step allocation inside the
-  // environment. Element w is only touched by worker w's tasks (or the
-  // caller's thread between ParallelFor barriers).
-  std::vector<env::StepResult> cur;
-  std::vector<env::StepResult> nxt;
-  std::vector<std::vector<env::UvAction>> actions;
-  std::vector<std::vector<std::array<float, 2>>> raw;
-  std::vector<std::vector<float>> logps;
-  std::vector<uint8_t> running;
-  std::vector<int> run_ids;
-
-  CollectState(int w_count, int num_agents)
-      : wmetrics(static_cast<size_t>(w_count)),
-        cur(static_cast<size_t>(w_count)),
-        nxt(static_cast<size_t>(w_count)),
-        actions(static_cast<size_t>(w_count),
-                std::vector<env::UvAction>(static_cast<size_t>(num_agents))),
-        raw(static_cast<size_t>(w_count),
-            std::vector<std::array<float, 2>>(
-                static_cast<size_t>(num_agents))),
-        logps(static_cast<size_t>(w_count),
-              std::vector<float>(static_cast<size_t>(num_agents))) {
-    wbufs.reserve(static_cast<size_t>(w_count));
-    for (int w = 0; w < w_count; ++w) wbufs.emplace_back(num_agents);
-  }
-};
 
 // Re-throws a pool-level watchdog timeout with sampler context: which
 // worker's environment was stuck and at which timeslot of which round.
@@ -113,136 +42,49 @@ struct CollectState {
 
 }  // namespace
 
-void VecSampler::Collect(int episodes, const BatchActFn& act,
-                         MultiAgentBuffer& buffer,
-                         std::vector<env::Metrics>& metrics) {
-  if (episodes <= 0) return;
-  const int num_agents = primary_env_.num_agents();
-  const int w_count = num_workers_;
-
-  // Worker-local outputs and step scratch; merged in worker-index order at
-  // the end so the result never depends on pool scheduling. See CollectState
-  // for why this lives behind a shared_ptr.
-  auto st = std::make_shared<CollectState>(w_count, num_agents);
-
-  // Reusable scratch for the batched action calls — caller-thread only, so
-  // it can stay on the stack.
-  std::vector<const std::vector<float>*> rows;
-  std::vector<util::Rng*> rngs;
-  std::vector<std::array<float, 2>> batch_actions;
-  std::vector<float> batch_logps;
-
-  const auto check_stop = [&](int round, int timeslot) {
-    if (stop_check_ && stop_check_()) {
-      std::ostringstream msg;
-      msg << "rollout interrupted by stop request (round " << round
-          << ", timeslot " << timeslot << "); partial episodes discarded";
-      throw util::InterruptedError(msg.str());
-    }
-  };
-
-  // Episodes are dealt round-robin, so each round's active workers form a
-  // prefix 0..active-1 of the worker indices.
-  const int rounds = (episodes + w_count - 1) / w_count;
-  for (int r = 0; r < rounds; ++r) {
-    check_stop(r, 0);
-    const int active = std::min(w_count, episodes - r * w_count);
-    try {
-      pool_.ParallelFor(
-          active, [this, st](int w) { worker_env(w).Reset(st->cur[w]); },
-          step_deadline_ms_);
-    } catch (const util::WatchdogTimeoutError& e) {
-      RethrowWithContext(e, "Reset", e.task_index(), r, 0);
-    }
-
-    st->running.assign(static_cast<size_t>(active), 1);
-    int num_running = active;
-    int timeslot = 0;
-    while (num_running > 0) {
-      check_stop(r, timeslot);
-      st->run_ids.clear();
-      for (int w = 0; w < active; ++w) {
-        if (st->running[static_cast<size_t>(w)]) st->run_ids.push_back(w);
-      }
-
-      // Batched action selection on the caller's thread: one forward per
-      // agent covering all running workers, each row sampled from its own
-      // worker stream in ascending worker order.
-      for (int k = 0; k < num_agents; ++k) {
-        rows.clear();
-        rngs.clear();
-        for (int w : st->run_ids) {
-          rows.push_back(&st->cur[w].observations[static_cast<size_t>(k)]);
-          rngs.push_back(&sample_rng(w));
-        }
-        batch_actions.assign(st->run_ids.size(), {});
-        batch_logps.assign(st->run_ids.size(), 0.0f);
-        act(k, rows, rngs, batch_actions, batch_logps);
-        for (size_t i = 0; i < st->run_ids.size(); ++i) {
-          const int w = st->run_ids[i];
-          st->raw[w][static_cast<size_t>(k)] = batch_actions[i];
-          st->logps[w][static_cast<size_t>(k)] = batch_logps[i];
-          st->actions[w][static_cast<size_t>(k)] = {batch_actions[i][0],
-                                                    batch_actions[i][1]};
-        }
-      }
-
-      // Parallel environment steps. Every write below is to worker-local
-      // state, so the outcome is independent of which pool thread runs
-      // which worker.
-      const auto step_task = [this, st, num_agents](int i) {
-        const long stall = util::FaultInjector::Instance().NextStallMs();
-        if (stall > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(stall));
-        }
-        const int w = st->run_ids[static_cast<size_t>(i)];
-        env::ScEnv& e = worker_env(w);
-        e.Step(st->actions[w], st->nxt[w]);
-        const env::StepResult& next = st->nxt[w];
-        MultiAgentBuffer& b = st->wbufs[static_cast<size_t>(w)];
-        for (int k = 0; k < num_agents; ++k) {
-          AgentRollout& ar = b.agents[static_cast<size_t>(k)];
-          ar.obs.push_back(st->cur[w].observations[static_cast<size_t>(k)]);
-          ar.next_obs.push_back(next.observations[static_cast<size_t>(k)]);
-          ar.action_dir.push_back(st->raw[w][static_cast<size_t>(k)][0]);
-          ar.action_speed.push_back(st->raw[w][static_cast<size_t>(k)][1]);
-          ar.logp_old.push_back(st->logps[w][static_cast<size_t>(k)]);
-          ar.reward_ext.push_back(
-              static_cast<float>(next.rewards[static_cast<size_t>(k)]));
-          ar.he_neighbors.push_back(e.HeterogeneousNeighbors(k));
-          ar.ho_neighbors.push_back(e.HomogeneousNeighbors(k));
-          ar.done.push_back(next.done ? 1 : 0);
-        }
-        b.states.push_back(st->cur[w].state);
-        b.next_states.push_back(next.state);
-        b.done.push_back(next.done ? 1 : 0);
-        const bool episode_done = next.done;
-        // Promote next -> cur; the displaced buffers become next step's
-        // scratch, so their capacity is reused instead of reallocated.
-        std::swap(st->cur[w], st->nxt[w]);
-        if (episode_done) {
-          st->wmetrics[static_cast<size_t>(w)].push_back(e.EpisodeMetrics());
-          st->running[static_cast<size_t>(w)] = 0;
-        }
-      };
-      try {
-        pool_.ParallelFor(static_cast<int>(st->run_ids.size()), step_task,
-                          step_deadline_ms_);
-      } catch (const util::WatchdogTimeoutError& e) {
-        const int w = st->run_ids[static_cast<size_t>(e.task_index())];
-        RethrowWithContext(e, "Step", w, r, timeslot);
-      }
-
-      num_running = 0;
-      for (uint8_t flag : st->running) num_running += flag != 0 ? 1 : 0;
-      ++timeslot;
-    }
+void VecSampler::ResetWorkers(const std::shared_ptr<CollectState>& st,
+                              int active, int round) {
+  // The primary env is downgraded by the Sampler itself; replicas pick up
+  // the sticky fallbacks here, before their next episode.
+  for (int w = 1; w < active; ++w) {
+    if (naive_env()) worker_env(w).DisableSpatialIndex();
+    if (scalar_channel()) worker_env(w).DisableChannelBatch();
   }
+  try {
+    pool_.ParallelFor(
+        active, [this, st](int w) { worker_env(w).Reset(st->cur[w]); },
+        step_deadline_ms());
+  } catch (const util::WatchdogTimeoutError& e) {
+    RethrowWithContext(e, "Reset", e.task_index(), round, 0);
+  }
+}
 
-  for (int w = 0; w < w_count; ++w) {
-    buffer.Append(st->wbufs[static_cast<size_t>(w)]);
-    metrics.insert(metrics.end(), st->wmetrics[static_cast<size_t>(w)].begin(),
-                   st->wmetrics[static_cast<size_t>(w)].end());
+void VecSampler::StepWorkers(const std::shared_ptr<CollectState>& st,
+                             int round, int timeslot) {
+  // Env step and buffer append both run inside the worker's pool task, on
+  // worker-local state only.
+  const auto step_task = [this, st](int i) {
+    const long stall = util::FaultInjector::Instance().NextStallMs();
+    if (stall > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stall));
+    }
+    const int w = st->run_ids[static_cast<size_t>(i)];
+    const size_t wi = static_cast<size_t>(w);
+    env::ScEnv& e = worker_env(w);
+    e.Step(st->actions[wi], st->nxt[wi]);
+    for (int k = 0; k < e.num_agents(); ++k) {
+      st->he[wi][static_cast<size_t>(k)] = e.HeterogeneousNeighbors(k);
+      st->ho[wi][static_cast<size_t>(k)] = e.HomogeneousNeighbors(k);
+    }
+    if (st->nxt[wi].done) st->metrics[wi].push_back(e.EpisodeMetrics());
+    CommitStep(*st, w);
+  };
+  try {
+    pool_.ParallelFor(static_cast<int>(st->run_ids.size()), step_task,
+                      step_deadline_ms());
+  } catch (const util::WatchdogTimeoutError& e) {
+    const int w = st->run_ids[static_cast<size_t>(e.task_index())];
+    RethrowWithContext(e, "Step", w, round, timeslot);
   }
 }
 

@@ -1,118 +1,50 @@
 #ifndef AGSC_CORE_VEC_SAMPLER_H_
 #define AGSC_CORE_VEC_SAMPLER_H_
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/rollout.h"
+#include "core/sampler.h"
 #include "env/sc_env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace agsc::core {
 
-/// Deterministic vectorized rollout collector.
+/// In-process transport of the Sampler: `num_workers` `ScEnv` replicas
+/// stepped on a thread pool. Worker 0 steps the primary environment itself,
+/// so one worker adds no threads at all (the pool runs inline); workers
+/// 1..W-1 own copies of it. Every reset and step task writes worker-local
+/// state only, so the result is independent of which pool thread runs which
+/// worker.
 ///
-/// Runs `num_workers` independent `ScEnv` replicas in lock-step. Each
-/// timeslot the per-agent actor forwards are batched ACROSS workers into a
-/// single tensor call on the caller's thread (one `BatchActFn` invocation
-/// per agent, rows in ascending worker order), then every worker's
-/// environment step and buffer appends run on a thread pool. Determinism
-/// contract:
-///
-///  * worker 0 aliases the primary environment and primary sampling RNG
-///    passed at construction, so `num_workers == 1` reproduces the legacy
-///    sequential sampler bit-for-bit (and adds no threads at all);
-///  * workers 1..W-1 own environment replicas and private SplitMix64-derived
-///    RNG streams (`Rng::Split`), and only ever touch worker-local state
-///    inside pool tasks, so the merged result is a pure function of
-///    (seed, num_workers) — bit-identical across runs and independent of
-///    thread scheduling;
-///  * per-worker buffers are merged in stable worker-index order.
-///
-/// Episodes are dealt round-robin: worker w runs global episodes
-/// w, w+W, w+2W, ... so the active worker set in every round is a prefix of
-/// the worker indices.
-class VecSampler {
+/// The step deadline is a fail-fast watchdog: a batch that misses it throws
+/// util::WatchdogTimeoutError annotated with the stuck worker, round and
+/// timeslot. The hung task may still be running when Collect throws (its
+/// writes land in state it co-owns), so treat the sampler as unusable and
+/// flush + exit rather than retrying.
+class VecSampler : public Sampler {
  public:
-  /// Computes actions for agent `k` across workers in one batched call.
-  /// `obs_rows[i]` is the i-th active worker's observation of agent k (rows
-  /// in ascending worker order) and `rngs[i]` its private sampling stream;
-  /// implementations must draw row i's sampling noise from `rngs[i]` only,
-  /// in row order. Fills one (direction, speed) action and one
-  /// log-probability per row.
-  using BatchActFn = std::function<void(
-      int k, const std::vector<const std::vector<float>*>& obs_rows,
-      const std::vector<util::Rng*>& rngs,
-      std::vector<std::array<float, 2>>& actions_out,
-      std::vector<float>& logps_out)>;
-
   /// `primary_env` / `primary_rng` become worker 0's environment and
   /// sampling stream (held by reference). Workers 1..num_workers-1 get
-  /// copies of `primary_env` reseeded from `Rng(seed).Split(...)`.
+  /// copies of `primary_env` reseeded from the Sampler stream layout.
   VecSampler(env::ScEnv& primary_env, util::Rng& primary_rng, int num_workers,
              uint64_t seed);
-  ~VecSampler();
+  ~VecSampler() override;
 
-  VecSampler(const VecSampler&) = delete;
-  VecSampler& operator=(const VecSampler&) = delete;
+ protected:
+  util::Rng& env_stream(int w) override { return worker_env(w).rng(); }
+  void ResetWorkers(const std::shared_ptr<CollectState>& st, int active,
+                    int round) override;
+  void StepWorkers(const std::shared_ptr<CollectState>& st, int round,
+                   int timeslot) override;
 
-  /// Collects `episodes` full episodes through `act`, appending the merged
-  /// experience to `buffer` and one `Metrics` row per episode to `metrics`
-  /// (both in stable worker-index order).
-  ///
-  /// Throws util::InterruptedError if the stop check fires at a timeslot
-  /// boundary, and util::WatchdogTimeoutError (annotated with the stuck
-  /// worker and timeslot) if a parallel step batch misses the step deadline.
-  /// Partial experience from an interrupted call is discarded; the sampling
-  /// RNG streams have advanced, so a resumed run is still deterministic but
-  /// not bit-equal to an uninterrupted one.
-  void Collect(int episodes, const BatchActFn& act, MultiAgentBuffer& buffer,
-               std::vector<env::Metrics>& metrics);
-
-  /// Optional cooperative stop: polled on the caller's thread at every
-  /// timeslot boundary (never inside a pool task). When it returns true,
-  /// Collect throws util::InterruptedError instead of starting more work.
-  void set_stop_check(std::function<bool()> stop_check) {
-    stop_check_ = std::move(stop_check);
-  }
-
-  /// Watchdog deadline for each parallel reset/step batch, in milliseconds
-  /// (0 = no deadline). Only meaningful with num_workers > 1 — the inline
-  /// single-worker pool runs tasks synchronously, so a deadline can never
-  /// fire mid-task. A timeout is fail-fast: the hung task may still be
-  /// running when Collect throws, so treat the sampler as unusable and
-  /// flush + exit rather than retrying.
-  void set_step_deadline_ms(long deadline_ms) {
-    step_deadline_ms_ = deadline_ms;
-  }
-
-  int num_workers() const { return num_workers_; }
-
-  /// The sampling RNG stream of worker `w` (worker 0 = the primary stream).
-  util::Rng& sample_rng(int w);
-
+ private:
   /// Worker `w`'s environment (worker 0 = the primary environment).
   env::ScEnv& worker_env(int w);
 
-  /// The RNG streams owned by workers 1..W-1, in checkpoint order:
-  /// [sample_1, env_1, sample_2, env_2, ...]. Worker 0's streams belong to
-  /// the trainer/environment and are checkpointed there; these are the
-  /// *extra* streams a checkpoint must capture for `--resume` to stay
-  /// bit-exact when num_workers > 1.
-  std::vector<util::Rng*> SplitRngs();
-
- private:
-  env::ScEnv& primary_env_;
-  util::Rng& primary_rng_;
-  int num_workers_;
   std::vector<std::unique_ptr<env::ScEnv>> replica_envs_;  ///< Workers 1..W-1.
-  std::vector<util::Rng> replica_rngs_;                    ///< Workers 1..W-1.
-  std::function<bool()> stop_check_;
-  long step_deadline_ms_ = 0;
   // Declared last so it is destroyed first: the destructor join waits for
   // any straggling (e.g. stalled) task before the envs it touches go away.
   util::ThreadPool pool_;

@@ -28,6 +28,7 @@
 #include "env/sc_env.h"
 #include "map/campus.h"
 #include "util/rng.h"
+#include "util/shutdown.h"
 #include "util/subprocess.h"
 
 #ifndef AGSC_WORKER_BINARY
@@ -299,6 +300,24 @@ TEST(ProcSamplerTest, PrimaryRngStreamsAdvanceIdentically) {
   }
   EXPECT_EQ(vec_rng.SaveState(), proc_rng.SaveState());
   EXPECT_EQ(vec_env.rng().SaveState(), proc_env.rng().SaveState());
+}
+
+TEST(ProcSamplerTest, StopCheckInterruptsCollect) {
+  env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+  util::Rng rng(11);
+  core::ProcSampler sampler(env, rng, 2, 11, WorkerOptions());
+  // Polls 1 and 2 come before the round and before timeslot 0; poll 3, at
+  // the start of timeslot 1, requests the stop. Collect must throw there
+  // and discard the first timeslot's experience.
+  int polls = 0;
+  sampler.set_stop_check([&] { return ++polls > 2; });
+  core::MultiAgentBuffer buffer(env.num_agents());
+  std::vector<env::Metrics> metrics;
+  EXPECT_THROW(sampler.Collect(2, DummyAct, buffer, metrics),
+               util::InterruptedError);
+  EXPECT_EQ(polls, 3);
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_TRUE(metrics.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -622,8 +641,7 @@ TEST(ProcTrainerTest, OracleFallbackPropagatesToWorkers) {
   env::ScEnv vec_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng vec_rng(11);
   core::VecSampler vec(vec_env, vec_rng, 2, 11);
-  vec_env.DisableSpatialIndex();
-  vec.worker_env(1).DisableSpatialIndex();
+  vec.DisableSpatialIndex();
   core::MultiAgentBuffer vec_buffer(vec_env.num_agents());
   std::vector<env::Metrics> vec_metrics;
   vec.Collect(4, DummyAct, vec_buffer, vec_metrics);
@@ -631,13 +649,72 @@ TEST(ProcTrainerTest, OracleFallbackPropagatesToWorkers) {
   env::ScEnv proc_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng proc_rng(11);
   core::ProcSampler proc(proc_env, proc_rng, 2, 11, WorkerOptions());
-  proc_env.DisableSpatialIndex();
   proc.DisableSpatialIndex();
   core::MultiAgentBuffer proc_buffer(proc_env.num_agents());
   std::vector<env::Metrics> proc_metrics;
   proc.Collect(4, DummyAct, proc_buffer, proc_metrics);
 
   ExpectBuffersBitEqual(vec_buffer, proc_buffer);
+  ExpectMetricsBitEqual(vec_metrics, proc_metrics);
+
+  // The spatial-index case passes even if the flag never reaches a worker.
+  // The channel downgrade changes results when the env runs the fast-math
+  // tier, so this case can fail: a fast-math env whose sampler is
+  // downgraded must collect exactly what an exact scalar-channel env
+  // collects.
+  env::EnvConfig exact_config = SmallEnvConfig();
+  exact_config.use_channel_batch = false;
+  env::EnvConfig fast_config = SmallEnvConfig();
+  fast_config.env_fast_math = true;
+
+  struct Run {
+    core::MultiAgentBuffer buffer;
+    std::vector<env::Metrics> metrics;
+  };
+  // Each run collects twice and keeps the second collect. The downgrade
+  // comes between the two, as the trainer's oracle check does between
+  // iterations: the first collect has already started the workers, so the
+  // flag must reach running workers. (A worker started after the downgrade
+  // would take the scalar path from its init frame alone.)
+  const auto collect = [](const env::EnvConfig& config, bool proc,
+                          bool downgrade) {
+    env::ScEnv env(config, SmallDataset(), 11);
+    util::Rng rng(11);
+    std::unique_ptr<core::Sampler> sampler;
+    if (proc) {
+      sampler = std::make_unique<core::ProcSampler>(env, rng, 2, 11,
+                                                    WorkerOptions());
+    } else {
+      sampler = std::make_unique<core::VecSampler>(env, rng, 2, 11);
+    }
+    Run first{core::MultiAgentBuffer(env.num_agents()), {}};
+    sampler->Collect(2, DummyAct, first.buffer, first.metrics);
+    if (downgrade) sampler->DisableChannelBatch();
+    Run run{core::MultiAgentBuffer(env.num_agents()), {}};
+    sampler->Collect(4, DummyAct, run.buffer, run.metrics);
+    return run;
+  };
+
+  const Run exact = collect(exact_config, /*proc=*/false, false);
+  for (const bool proc : {false, true}) {
+    SCOPED_TRACE(proc ? "subprocess workers" : "in-process workers");
+    const Run downgraded = collect(fast_config, proc, /*downgrade=*/true);
+    ExpectBuffersBitEqual(exact.buffer, downgraded.buffer);
+    ExpectMetricsBitEqual(exact.metrics, downgraded.metrics);
+  }
+
+  // Without the downgrade the fast-math tier is visible in the metrics, so
+  // the equality above is evidence that the flag was applied.
+  const Run fast = collect(fast_config, /*proc=*/true, /*downgrade=*/false);
+  ASSERT_EQ(fast.metrics.size(), exact.metrics.size());
+  bool differs = false;
+  for (size_t i = 0; i < fast.metrics.size(); ++i) {
+    differs = differs ||
+              fast.metrics[i].ToVector() != exact.metrics[i].ToVector();
+  }
+  EXPECT_TRUE(differs)
+      << "fast-math metrics equal the exact path; this case cannot detect "
+         "a lost channel downgrade";
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Determinism tests for the vectorized rollout sampler: bit-identical
+// Determinism tests for the in-process rollout sampler: bit-identical
 // collection for a fixed (seed, num_workers) pair, exact equivalence of
-// the single-worker vectorized path with the legacy sequential sampler,
-// stable worker-order merging, and bit-exact checkpoint resume with
+// the single-worker batched path with a sequential Algorithm-1 reference
+// loop, stable worker-order merging, and bit-exact checkpoint resume with
 // worker RNG streams (the "vrng" checkpoint section).
 
 #include <unistd.h>
@@ -9,17 +9,22 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/hi_madrl.h"
+#include "core/policy.h"
 #include "core/rollout.h"
 #include "core/vec_sampler.h"
 #include "env/config.h"
 #include "env/sc_env.h"
 #include "map/campus.h"
+#include "nn/distributions.h"
+#include "nn/tensor.h"
 #include "util/rng.h"
 
 namespace agsc {
@@ -94,6 +99,14 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
     EXPECT_EQ(x.he_neighbors, y.he_neighbors) << "agent " << k;
     EXPECT_EQ(x.ho_neighbors, y.ho_neighbors) << "agent " << k;
     EXPECT_EQ(x.done, y.done) << "agent " << k;
+  }
+}
+
+void ExpectMetricsBitEqual(const std::vector<env::Metrics>& a,
+                           const std::vector<env::Metrics>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].ToVector(), b[i].ToVector()) << "episode " << i;
   }
 }
 
@@ -221,35 +234,124 @@ TEST(VecSamplerTest, MoreWorkersThanEpisodesStillDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Trainer-level equivalence and determinism.
+// One worker against a sequential reference: Algorithm 1, Lines 5-11.
 // ---------------------------------------------------------------------------
 
-TEST(VecSamplerTrainerTest, SingleWorkerMatchesLegacySamplerBitExactly) {
-  // num_workers == 0 runs the legacy sequential sampling loop (kept as the
-  // reference implementation); num_workers == 1 routes through the
-  // vectorized sampler with batch size 1. The two must agree bit-for-bit:
-  // same RNG draw order, same row math.
-  env::ScEnv env_legacy(SmallEnvConfig(), SmallDataset(), 11);
-  core::HiMadrlTrainer legacy(env_legacy, SmallTrainConfig(0));
-  env::ScEnv env_vec(SmallEnvConfig(), SmallDataset(), 11);
-  core::HiMadrlTrainer vec(env_vec, SmallTrainConfig(1));
+/// One small actor per agent, with fixed weights.
+std::vector<std::unique_ptr<core::GaussianActor>> MakeActors(
+    const env::ScEnv& env) {
+  core::NetConfig net;
+  net.hidden = {16};
+  util::Rng init(5);
+  std::vector<std::unique_ptr<core::GaussianActor>> actors;
+  for (int k = 0; k < env.num_agents(); ++k) {
+    actors.push_back(std::make_unique<core::GaussianActor>(
+        env.obs_dim(), env::ScEnv::kActionDim, net, init));
+  }
+  return actors;
+}
 
-  legacy.CollectRollouts();
-  vec.CollectRollouts();
-  ExpectBuffersBitEqual(legacy.buffer(), vec.buffer());
+/// The sequential sampling loop: reset, one GaussianActor::Act per agent in
+/// agent order from the single stream `rng`, step, append, and the episode
+/// metrics once the episode is done.
+void SequentialCollect(
+    env::ScEnv& env,
+    const std::vector<std::unique_ptr<core::GaussianActor>>& actors,
+    util::Rng& rng, int episodes, core::MultiAgentBuffer& buffer,
+    std::vector<env::Metrics>& metrics) {
+  const int num_agents = env.num_agents();
+  for (int e = 0; e < episodes; ++e) {
+    env::StepResult cur = env.Reset();
+    bool done = false;
+    while (!done) {
+      std::vector<std::vector<float>> raw(static_cast<size_t>(num_agents));
+      std::vector<float> logps(static_cast<size_t>(num_agents));
+      std::vector<env::UvAction> actions(static_cast<size_t>(num_agents));
+      for (int k = 0; k < num_agents; ++k) {
+        raw[k] = actors[k]->Act(cur.observations[k], rng,
+                                /*deterministic=*/false, &logps[k]);
+        actions[k] = {raw[k][0], raw[k][1]};
+      }
+      env::StepResult next = env.Step(actions);
+      done = next.done;
+      for (int k = 0; k < num_agents; ++k) {
+        core::AgentRollout& r = buffer.agents[k];
+        r.obs.push_back(cur.observations[k]);
+        r.next_obs.push_back(next.observations[k]);
+        r.action_dir.push_back(raw[k][0]);
+        r.action_speed.push_back(raw[k][1]);
+        r.logp_old.push_back(logps[k]);
+        r.reward_ext.push_back(static_cast<float>(next.rewards[k]));
+        r.he_neighbors.push_back(env.HeterogeneousNeighbors(k));
+        r.ho_neighbors.push_back(env.HomogeneousNeighbors(k));
+        r.done.push_back(done ? 1 : 0);
+      }
+      buffer.states.push_back(cur.state);
+      buffer.next_states.push_back(next.state);
+      buffer.done.push_back(done ? 1 : 0);
+      cur = std::move(next);
+    }
+    metrics.push_back(env.EpisodeMetrics());
+  }
+}
 
-  // And full training stays in lock-step: after two iterations the entire
-  // persisted state (params, optimizers, RNGs, counters) is byte-equal.
-  // Neither side writes a vrng section, so the files can be compared raw.
-  legacy.TrainTo(2);
-  vec.TrainTo(2);
-  const std::string legacy_path = TempPath("legacy.agsc");
-  const std::string vec_path = TempPath("vec1.agsc");
-  ASSERT_TRUE(legacy.SaveCheckpoint(legacy_path));
-  ASSERT_TRUE(vec.SaveCheckpoint(vec_path));
-  EXPECT_EQ(ReadFileBytes(legacy_path), ReadFileBytes(vec_path));
-  std::remove(legacy_path.c_str());
-  std::remove(vec_path.c_str());
+TEST(VecSamplerTest, SingleWorkerMatchesSequentialReferenceBitExactly) {
+  // The sampler's side is the trainer's BatchAct path: one Dist over the
+  // stacked rows, SamplePerRow from each row's stream, then LogProb. With
+  // one worker every batch has one row, so it must reproduce the per-agent
+  // Act calls bit-for-bit: same draw order, same row math.
+  env::ScEnv ref_env(SmallEnvConfig(), SmallDataset(), 11);
+  const auto actors = MakeActors(ref_env);
+  util::Rng ref_rng(11);
+  core::MultiAgentBuffer ref_buffer(ref_env.num_agents());
+  std::vector<env::Metrics> ref_metrics;
+  SequentialCollect(ref_env, actors, ref_rng, 3, ref_buffer, ref_metrics);
+
+  const auto batch_act =
+      [&actors](int k, const std::vector<const std::vector<float>*>& rows,
+                const std::vector<util::Rng*>& rngs,
+                std::vector<std::array<float, 2>>& actions_out,
+                std::vector<float>& logps_out) {
+        const int n = static_cast<int>(rows.size());
+        const int dim = static_cast<int>(rows[0]->size());
+        nn::Tensor batch(n, dim);
+        for (int r = 0; r < n; ++r) {
+          for (int c = 0; c < dim; ++c) batch(r, c) = (*rows[r])[c];
+        }
+        const nn::DiagGaussian dist = actors[k]->Dist(batch);
+        const nn::Tensor sampled = dist.SamplePerRow(rngs);
+        const nn::Tensor logp = dist.LogProb(sampled).value();
+        for (int r = 0; r < n; ++r) {
+          actions_out[r] = {sampled(r, 0), sampled(r, 1)};
+          logps_out[r] = logp(r, 0);
+        }
+      };
+  env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+  util::Rng rng(11);
+  core::VecSampler sampler(env, rng, 1, 11);
+  core::MultiAgentBuffer buffer(env.num_agents());
+  std::vector<env::Metrics> metrics;
+  sampler.Collect(3, batch_act, buffer, metrics);
+
+  ASSERT_EQ(buffer.size(), static_cast<size_t>(3 * kTimeslots));
+  ExpectBuffersBitEqual(ref_buffer, buffer);
+  ExpectMetricsBitEqual(ref_metrics, metrics);
+  // Both sides consumed the same draws from the same streams.
+  EXPECT_EQ(ref_rng.SaveState(), rng.SaveState());
+  EXPECT_EQ(ref_env.rng().SaveState(), env.rng().SaveState());
+}
+
+// ---------------------------------------------------------------------------
+// Trainer-level determinism.
+// ---------------------------------------------------------------------------
+
+TEST(VecSamplerTrainerTest, NonPositiveWorkerCountThrowsAtConstruction) {
+  for (const int workers : {0, -1}) {
+    env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+    EXPECT_THROW(core::HiMadrlTrainer(env, SmallTrainConfig(workers)),
+                 std::invalid_argument)
+        << "workers=" << workers;
+  }
 }
 
 TEST(VecSamplerTrainerTest, SameSeedSameWorkersIsBitIdentical) {
@@ -327,8 +429,8 @@ TEST(VecSamplerTrainerTest, WorkerCountMismatchOnLoadIsRejected) {
     ASSERT_TRUE(trainer.SaveCheckpoint(w1_path));
   }
 
-  // W=3 file into W=2, W=1 and legacy (W=0) trainers: all rejected.
-  for (const int workers : {2, 1, 0}) {
+  // W=3 file into W=2 and W=1 trainers: both rejected.
+  for (const int workers : {2, 1}) {
     env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
     core::HiMadrlTrainer trainer(env, SmallTrainConfig(workers));
     EXPECT_FALSE(trainer.LoadCheckpoint(w3_path)) << "workers=" << workers;

@@ -84,13 +84,20 @@ BENCHMARK(BM_MatMul)
     ->ArgsProduct({{64, 128, 256}, {0, 1, 2}});
 
 void BM_MatMulTransposedB(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int mode = static_cast<int>(state.range(1));
+  // m x k times (n x k)^T. Besides the square cases: the input gradients
+  // PPO backward passes run on a 256-row minibatch, of a hidden layer
+  // (256x64x128), the actor head (256x2x64) and a critic head (256x1x64);
+  // and products that keep the row-at-a-time tile, of fewer than 8 rows
+  // (1x64x128, 4x64x128) or one column (256x64x1).
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const int mode = static_cast<int>(state.range(3));
   KernelModeGuard guard(mode);
   state.SetLabel(KernelModeName(mode));
   util::Rng rng(2);
-  nn::Tensor a = nn::Tensor::Randn(n, n, rng);
-  nn::Tensor b = nn::Tensor::Randn(n, n, rng);
+  nn::Tensor a = nn::Tensor::Randn(m, k, rng);
+  nn::Tensor b = nn::Tensor::Randn(n, k, rng);
   if (!SelfCheck(state, nn::MatMulTransposedB(a, b),
                  nn::internal::NaiveMatMulTransposedB(a, b))) {
     return;
@@ -98,9 +105,16 @@ void BM_MatMulTransposedB(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::MatMulTransposedB(a, b));
   }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
 }
-BENCHMARK(BM_MatMulTransposedB)->ArgsProduct({{128, 256}, {0, 1, 2}});
+BENCHMARK(BM_MatMulTransposedB)
+    ->ArgsProduct({{128}, {128}, {128}, {0, 1, 2}})
+    ->ArgsProduct({{256}, {256}, {256}, {0, 1, 2}})
+    ->ArgsProduct({{256}, {64}, {128}, {0, 1, 2}})
+    ->ArgsProduct({{256}, {2}, {64}, {0, 1, 2}})
+    ->ArgsProduct({{256}, {1}, {64}, {0, 1, 2}})
+    ->ArgsProduct({{1, 4}, {64}, {128}, {0, 1, 2}})
+    ->ArgsProduct({{256}, {64}, {1}, {0, 1, 2}});
 
 void BM_MatMulTransposedA(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

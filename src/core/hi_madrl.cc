@@ -10,7 +10,6 @@
 #include <limits>
 
 #include "core/oracle_guard.h"
-#include "core/ppo.h"
 #include "core/vec_sampler.h"
 #include "nn/serialize.h"
 #include "util/fault_inject.h"
@@ -69,10 +68,8 @@ HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
   const int num_agents = env_.num_agents();
   const int id_dim = config_.share_params ? num_agents : 0;
   actor_input_dim_ = env_.obs_dim() + id_dim;
-  const bool state_critic =
-      config_.base == BaseAlgo::kMappo || config_.centralized_critic;
-  critic_input_dim_ = (state_critic ? env_.state_dim() : env_.obs_dim()) +
-                      id_dim;
+  critic_input_dim_ =
+      (StateCritic() ? env_.state_dim() : env_.obs_dim()) + id_dim;
 
   const int net_count = config_.share_params ? 1 : num_agents;
   nets_.resize(net_count);
@@ -148,9 +145,7 @@ std::vector<float> HiMadrlTrainer::ActorInput(
 std::vector<float> HiMadrlTrainer::CriticInput(
     int k, const std::vector<float>& obs,
     const std::vector<float>& state) const {
-  const bool state_critic =
-      config_.base == BaseAlgo::kMappo || config_.centralized_critic;
-  std::vector<float> input = state_critic ? state : obs;
+  std::vector<float> input = StateCritic() ? state : obs;
   if (config_.share_params) {
     for (int j = 0; j < env_.num_agents(); ++j) {
       input.push_back(j == k ? 1.0f : 0.0f);
@@ -300,6 +295,25 @@ AdvantageResult StreamAdvantages(const std::vector<float>& rewards,
   return adv;
 }
 
+/// Advantages of one reward stream under critic `net` from a single critic
+/// pass over the stream's own input rows: successor values come from that
+/// pass (SuccessorValues), and only the `fallback` rows run the critic on
+/// their next input, `next_input(t)`.
+AdvantageResult CriticAdvantages(
+    const ValueNet& net, const std::vector<std::vector<float>>& inputs,
+    const std::vector<float>& rewards, const std::vector<uint8_t>& dones,
+    const std::vector<int>& fallback,
+    const std::function<std::vector<float>(int)>& next_input,
+    const TrainConfig& config, bool normalize) {
+  const std::vector<float> values = net.Values(inputs);
+  std::vector<std::vector<float>> next_rows;
+  for (int t : fallback) next_rows.push_back(next_input(t));
+  const std::vector<float> next_values =
+      SuccessorValues(values, dones, fallback, net.Values(next_rows));
+  return StreamAdvantages(rewards, values, next_values, dones, config,
+                          normalize);
+}
+
 /// Elementwise dot product of two gradient snapshots.
 double GradDot(const std::vector<nn::Tensor>& a,
                const std::vector<nn::Tensor>& b) {
@@ -335,27 +349,64 @@ void ZeroGrads(std::vector<nn::Variable> params) {
 
 }  // namespace
 
-std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
+HiMadrlTrainer::OptimizeInputs HiMadrlTrainer::BuildOptimizeInputs() const {
   const int num_agents = env_.num_agents();
   const size_t n = buffer_.size();
-
-  // Pre-build augmented input rows once per iteration.
-  std::vector<std::vector<std::vector<float>>> actor_inputs(num_agents);
-  std::vector<std::vector<std::vector<float>>> next_actor_inputs(num_agents);
-  std::vector<std::vector<std::vector<float>>> critic_inputs(num_agents);
-  std::vector<std::vector<std::vector<float>>> next_critic_inputs(num_agents);
+  OptimizeInputs in;
+  in.actor.resize(num_agents);
+  in.critic.resize(num_agents);
+  in.obs_fallback.resize(num_agents);
   for (int k = 0; k < num_agents; ++k) {
     const AgentRollout& r = buffer_.agents[k];
-    actor_inputs[k].reserve(n);
+    in.actor[k].reserve(n);
+    in.critic[k].reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      actor_inputs[k].push_back(ActorInput(k, r.obs[i]));
-      next_actor_inputs[k].push_back(ActorInput(k, r.next_obs[i]));
-      critic_inputs[k].push_back(
-          CriticInput(k, r.obs[i], buffer_.states[i]));
-      next_critic_inputs[k].push_back(
-          CriticInput(k, r.next_obs[i], buffer_.next_states[i]));
+      in.actor[k].push_back(ActorInput(k, r.obs[i]));
+      in.critic[k].push_back(CriticInput(k, r.obs[i], buffer_.states[i]));
     }
+    in.obs_fallback[k] = SuccessorFallbackRows(r.obs, r.next_obs, r.done);
   }
+  in.state_fallback = SuccessorFallbackRows(
+      buffer_.states, buffer_.next_states, buffer_.done);
+  return in;
+}
+
+HiMadrlTrainer::AgentAdvantages HiMadrlTrainer::AdvantagesOf(
+    int k, const OptimizeInputs& in) const {
+  const AgentNets& nets = Nets(k);
+  const AgentRollout& r = buffer_.agents[k];
+  AgentAdvantages adv;
+  adv.k = CriticAdvantages(
+      *nets.value, in.critic[k], r.reward, r.done,
+      StateCritic() ? in.state_fallback : in.obs_fallback[k],
+      [&](int t) {
+        return CriticInput(k, r.next_obs[t], buffer_.next_states[t]);
+      },
+      config_, true);
+  if (config_.use_copo) {
+    auto next_actor_input = [&](int t) { return ActorInput(k, r.next_obs[t]); };
+    adv.he = CriticAdvantages(*nets.value_he, in.actor[k], r.reward_he, r.done,
+                              in.obs_fallback[k], next_actor_input, config_,
+                              true);
+    adv.ho = CriticAdvantages(*nets.value_ho, in.actor[k], r.reward_ho, r.done,
+                              in.obs_fallback[k], next_actor_input, config_,
+                              true);
+  }
+  return adv;
+}
+
+AdvantageResult HiMadrlTrainer::OverallAdvantages(const OptimizeInputs& in,
+                                                  bool normalize) const {
+  return CriticAdvantages(
+      *value_all_, buffer_.states, buffer_.reward_all, buffer_.done,
+      in.state_fallback, [&](int t) { return buffer_.next_states[t]; },
+      config_, normalize);
+}
+
+std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
+    const OptimizeInputs& in) {
+  const int num_agents = env_.num_agents();
+  const size_t n = buffer_.size();
 
   double grad_norm_sum = 0.0, value_loss_sum = 0.0;
   long grad_norm_count = 0, value_loss_count = 0;
@@ -366,39 +417,20 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
       AgentRollout& r = buffer_.agents[k];
 
       // Value predictions (no grad) and advantage streams (Eqn. 24).
-      const std::vector<float> v = nets.value->Values(critic_inputs[k]);
-      const std::vector<float> vn =
-          nets.value->Values(next_critic_inputs[k]);
-      AdvantageResult adv_k =
-          StreamAdvantages(r.reward, v, vn, r.done, config_, true);
-      AdvantageResult adv_he, adv_ho;
-      if (config_.use_copo) {
-        const std::vector<float> vhe =
-            nets.value_he->Values(actor_inputs[k]);
-        const std::vector<float> vhe_n =
-            nets.value_he->Values(next_actor_inputs[k]);
-        adv_he = StreamAdvantages(r.reward_he, vhe, vhe_n, r.done, config_,
-                                  true);
-        const std::vector<float> vho =
-            nets.value_ho->Values(actor_inputs[k]);
-        const std::vector<float> vho_n =
-            nets.value_ho->Values(next_actor_inputs[k]);
-        adv_ho = StreamAdvantages(r.reward_ho, vho, vho_n, r.done, config_,
-                                  true);
-      }
+      const AgentAdvantages adv = AdvantagesOf(k, in);
 
       // Cooperation-aware advantage A_CO (Eqn. 27) or the base advantage.
       std::vector<float> a_co(n);
       for (size_t i = 0; i < n; ++i) {
         if (!config_.use_copo) {
-          a_co[i] = adv_k.advantages[i];
+          a_co[i] = adv.k.advantages[i];
         } else if (config_.hetero_copo) {
           a_co[i] = static_cast<float>(
-              CoopAdvantage(adv_k.advantages[i], adv_he.advantages[i],
-                            adv_ho.advantages[i], lcfs_[k]));
+              CoopAdvantage(adv.k.advantages[i], adv.he.advantages[i],
+                            adv.ho.advantages[i], lcfs_[k]));
         } else {
           a_co[i] = static_cast<float>(CoopAdvantagePlain(
-              adv_k.advantages[i], adv_he.advantages[i], lcfs_[k]));
+              adv.k.advantages[i], adv.he.advantages[i], lcfs_[k]));
         }
       }
 
@@ -415,7 +447,7 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
       for (const std::vector<int>& batch :
            MakeMinibatches(n, config_.minibatch, rng_)) {
         // --- Actor: maximize J_CO (Eqn. 28) + entropy bonus. ---
-        nn::Tensor obs_b = PackBatch(actor_inputs[k], batch);
+        nn::Tensor obs_b = PackBatch(in.actor[k], batch);
         nn::Tensor act_b = r.ActionBatch(batch);
         std::vector<float> logp_old_b(batch.size()), a_co_b(batch.size());
         for (size_t i = 0; i < batch.size(); ++i) {
@@ -466,18 +498,18 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
           return t;
         };
         nets.value_opt->ZeroGrad();
-        nn::Tensor critic_b = PackBatch(critic_inputs[k], batch);
+        nn::Tensor critic_b = PackBatch(in.critic[k], batch);
         nn::Variable v_loss =
-            nn::MseLoss(nets.value->Forward(critic_b), value_target(adv_k));
+            nn::MseLoss(nets.value->Forward(critic_b), value_target(adv.k));
         v_loss.Backward();
         const float v_loss_val = v_loss.value()(0, 0);
         float aux_loss_val = 0.0f;
         if (config_.use_copo) {
           nn::Variable he_loss =
-              nn::MseLoss(nets.value_he->Forward(obs_b), value_target(adv_he));
+              nn::MseLoss(nets.value_he->Forward(obs_b), value_target(adv.he));
           he_loss.Backward();
           nn::Variable ho_loss =
-              nn::MseLoss(nets.value_ho->Forward(obs_b), value_target(adv_ho));
+              nn::MseLoss(nets.value_ho->Forward(obs_b), value_target(adv.ho));
           ho_loss.Backward();
           aux_loss_val = he_loss.value()(0, 0) + ho_loss.value()(0, 0);
         }
@@ -502,11 +534,7 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
 
     // Line 20: update the overall value network V_all on r_all.
     if (config_.use_copo) {
-      const std::vector<float> v_all = value_all_->Values(buffer_.states);
-      const std::vector<float> v_all_next =
-          value_all_->Values(buffer_.next_states);
-      AdvantageResult adv_all = StreamAdvantages(
-          buffer_.reward_all, v_all, v_all_next, buffer_.done, config_, false);
+      const AdvantageResult adv_all = OverallAdvantages(in, false);
       for (const std::vector<int>& batch :
            MakeMinibatches(n, config_.minibatch, rng_)) {
         nn::Tensor s_b = buffer_.StateBatch(batch);
@@ -534,66 +562,30 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
               : 0.0f};
 }
 
-void HiMadrlTrainer::LcfUpdate() {
-  if (!config_.use_copo) return;
+void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& in) {
+  if (!config_.use_copo || config_.lcf_epochs <= 0) return;
   const int num_agents = env_.num_agents();
   const size_t n = buffer_.size();
 
-  // Overall advantage A_all from V_all (Eqn. 31), shared by all agents.
-  const std::vector<float> v_all = value_all_->Values(buffer_.states);
-  const std::vector<float> v_all_next =
-      value_all_->Values(buffer_.next_states);
-  AdvantageResult adv_all = StreamAdvantages(
-      buffer_.reward_all, v_all, v_all_next, buffer_.done, config_, true);
-
-  // Input caches are policy-independent; build them once.
-  std::vector<std::vector<std::vector<float>>> all_actor_inputs(num_agents);
-  std::vector<std::vector<std::vector<float>>> all_next_actor_inputs(
-      num_agents);
-  std::vector<std::vector<std::vector<float>>> all_critic_inputs(num_agents);
-  std::vector<std::vector<std::vector<float>>> all_next_critic_inputs(
-      num_agents);
+  // The meta-update changes neither the critics nor the rewards, so the
+  // overall advantage A_all (Eqn. 31) and each agent's streams (for
+  // dA_CO/d(phi,chi)) are computed once for all lcf_epochs.
+  const AdvantageResult adv_all = OverallAdvantages(in, true);
+  std::vector<AgentAdvantages> agent_adv;
+  agent_adv.reserve(num_agents);
   for (int k = 0; k < num_agents; ++k) {
-    const AgentRollout& r = buffer_.agents[k];
-    all_actor_inputs[k].reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      all_actor_inputs[k].push_back(ActorInput(k, r.obs[i]));
-      all_next_actor_inputs[k].push_back(ActorInput(k, r.next_obs[i]));
-      all_critic_inputs[k].push_back(
-          CriticInput(k, r.obs[i], buffer_.states[i]));
-      all_next_critic_inputs[k].push_back(
-          CriticInput(k, r.next_obs[i], buffer_.next_states[i]));
-    }
+    agent_adv.push_back(AdvantagesOf(k, in));
   }
 
   for (int m = 0; m < config_.lcf_epochs; ++m) {
     for (int k = 0; k < num_agents; ++k) {
       AgentNets& nets = Nets(k);
       AgentRollout& r = buffer_.agents[k];
-
-      // Advantage streams with current critics (for dA_CO/d(phi,chi)).
-      const auto& actor_inputs = all_actor_inputs[k];
-      const auto& next_actor_inputs = all_next_actor_inputs[k];
-      const auto& critic_inputs = all_critic_inputs[k];
-      const auto& next_critic_inputs = all_next_critic_inputs[k];
-      const std::vector<float> v = nets.value->Values(critic_inputs);
-      const std::vector<float> vn = nets.value->Values(next_critic_inputs);
-      AdvantageResult adv_k =
-          StreamAdvantages(r.reward, v, vn, r.done, config_, true);
-      const std::vector<float> vhe = nets.value_he->Values(actor_inputs);
-      const std::vector<float> vhe_n =
-          nets.value_he->Values(next_actor_inputs);
-      AdvantageResult adv_he =
-          StreamAdvantages(r.reward_he, vhe, vhe_n, r.done, config_, true);
-      const std::vector<float> vho = nets.value_ho->Values(actor_inputs);
-      const std::vector<float> vho_n =
-          nets.value_ho->Values(next_actor_inputs);
-      AdvantageResult adv_ho =
-          StreamAdvantages(r.reward_ho, vho, vho_n, r.done, config_, true);
+      const AgentAdvantages& adv = agent_adv[k];
 
       for (const std::vector<int>& batch :
            MakeMinibatches(n, config_.minibatch, rng_)) {
-        nn::Tensor obs_b = PackBatch(actor_inputs, batch);
+        nn::Tensor obs_b = PackBatch(in.actor[k], batch);
         nn::Tensor act_b = r.ActionBatch(batch);
         std::vector<float> logp_old_b(batch.size()), adv_all_b(batch.size());
         nn::Tensor w_phi(static_cast<int>(batch.size()), 1);
@@ -604,17 +596,17 @@ void HiMadrlTrainer::LcfUpdate() {
           adv_all_b[i] = adv_all.advantages[idx];
           if (config_.hetero_copo) {
             w_phi(static_cast<int>(i), 0) = static_cast<float>(
-                CoopAdvantageDPhi(adv_k.advantages[idx],
-                                  adv_he.advantages[idx],
-                                  adv_ho.advantages[idx], lcfs_[k]));
+                CoopAdvantageDPhi(adv.k.advantages[idx],
+                                  adv.he.advantages[idx],
+                                  adv.ho.advantages[idx], lcfs_[k]));
             w_chi(static_cast<int>(i), 0) = static_cast<float>(
-                CoopAdvantageDChi(adv_k.advantages[idx],
-                                  adv_he.advantages[idx],
-                                  adv_ho.advantages[idx], lcfs_[k]));
+                CoopAdvantageDChi(adv.k.advantages[idx],
+                                  adv.he.advantages[idx],
+                                  adv.ho.advantages[idx], lcfs_[k]));
           } else {
             w_phi(static_cast<int>(i), 0) =
                 static_cast<float>(CoopAdvantagePlainDPhi(
-                    adv_k.advantages[idx], adv_he.advantages[idx], lcfs_[k]));
+                    adv.k.advantages[idx], adv.he.advantages[idx], lcfs_[k]));
             w_chi(static_cast<int>(i), 0) = 0.0f;
           }
         }
@@ -680,11 +672,19 @@ void HiMadrlTrainer::LcfUpdate() {
   }
 }
 
-void HiMadrlTrainer::OptimizeOnCurrentBuffer() {
-  UpdateEoiAndRewards();
+void HiMadrlTrainer::Optimize(IterationStats& stats) {
+  stats.eoi_loss = UpdateEoiAndRewards();
   SnapshotOldPolicies();
-  PolicyUpdate();
-  LcfUpdate();
+  const OptimizeInputs inputs = BuildOptimizeInputs();
+  const auto [grad_norm, value_loss] = PolicyUpdate(inputs);
+  stats.actor_grad_norm = grad_norm;
+  stats.value_loss = value_loss;
+  LcfUpdate(inputs);
+}
+
+void HiMadrlTrainer::OptimizeOnCurrentBuffer() {
+  IterationStats unused;
+  Optimize(unused);
 }
 
 IterationStats HiMadrlTrainer::TrainIteration() {
@@ -698,12 +698,7 @@ IterationStats HiMadrlTrainer::TrainIteration() {
 
   iter_anomalies_ = 0;
   CollectRollouts();
-  stats.eoi_loss = UpdateEoiAndRewards();
-  SnapshotOldPolicies();
-  const auto [grad_norm, value_loss] = PolicyUpdate();
-  stats.actor_grad_norm = grad_norm;
-  stats.value_loss = value_loss;
-  LcfUpdate();
+  Optimize(stats);
 
   stats.anomalies = iter_anomalies_;
   anomaly_streak_ = iter_anomalies_ > 0 ? anomaly_streak_ + 1 : 0;

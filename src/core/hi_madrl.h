@@ -11,6 +11,7 @@
 #include "core/eoi.h"
 #include "core/evaluator.h"
 #include "core/policy.h"
+#include "core/ppo.h"
 #include "core/proc_sampler.h"
 #include "core/rollout.h"
 #include "core/sampler.h"
@@ -345,6 +346,10 @@ class HiMadrlTrainer : public Policy {
   const AgentNets& Nets(int k) const {
     return nets_[config_.share_params ? 0 : k];
   }
+  /// V^k reads the global state (MAPPO, or CC) instead of the local obs.
+  bool StateCritic() const {
+    return config_.base == BaseAlgo::kMappo || config_.centralized_critic;
+  }
 
   /// Actor input: raw obs, plus a one-hot agent id when parameters are
   /// shared (SP) so the shared network can distinguish UVs.
@@ -363,9 +368,34 @@ class HiMadrlTrainer : public Policy {
                 std::vector<float>& logps_out);
   float UpdateEoiAndRewards();
   void SnapshotOldPolicies();
+  /// One optimize phase on the current buffer (Lines 12-20): i-EOI update,
+  /// theta_old snapshot, M1 policy epochs, M2 LCF meta-updates.
+  void Optimize(IterationStats& stats);
+
+  /// Network input rows of one optimize phase, built once and shared by
+  /// PolicyUpdate and LcfUpdate, plus the rows whose successor value needs
+  /// its own critic pass (SuccessorFallbackRows; empty for every sampler).
+  struct OptimizeInputs {
+    std::vector<std::vector<std::vector<float>>> actor;   ///< Per agent.
+    std::vector<std::vector<std::vector<float>>> critic;  ///< Per agent.
+    std::vector<std::vector<int>> obs_fallback;  ///< Per agent, on obs.
+    std::vector<int> state_fallback;             ///< On the global state.
+  };
+  OptimizeInputs BuildOptimizeInputs() const;
+
+  /// Agent k's advantage streams under the current critics (Eqn. 24): r^k
+  /// under V^k and, with CoPO, the HE/HO neighbor rewards under V_HE/V_HO.
+  struct AgentAdvantages {
+    AdvantageResult k, he, ho;
+  };
+  AgentAdvantages AdvantagesOf(int k, const OptimizeInputs& in) const;
+  /// r_all under V_all (Eqns. 29, 31).
+  AdvantageResult OverallAdvantages(const OptimizeInputs& in,
+                                    bool normalize) const;
+
   /// Returns {mean actor grad norm, mean value loss}.
-  std::pair<float, float> PolicyUpdate();
-  void LcfUpdate();
+  std::pair<float, float> PolicyUpdate(const OptimizeInputs& in);
+  void LcfUpdate(const OptimizeInputs& in);
 
   /// All persistent network parameters in a stable order (actors, critics,
   /// V_all, i-EOI classifier).

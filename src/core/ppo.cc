@@ -1,6 +1,7 @@
 #include "core/ppo.h"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace agsc::core {
@@ -46,6 +47,45 @@ AdvantageResult GaeAdvantages(const std::vector<float>& rewards,
     out.returns[i] = gae + values[i];
   }
   return out;
+}
+
+std::vector<int> SuccessorFallbackRows(
+    const std::vector<std::vector<float>>& rows,
+    const std::vector<std::vector<float>>& next_rows,
+    const std::vector<uint8_t>& dones) {
+  const size_t n = rows.size();
+  if (next_rows.size() != n || dones.size() != n) {
+    throw std::invalid_argument("SuccessorFallbackRows: length mismatch");
+  }
+  std::vector<int> fallback;
+  for (size_t t = 0; t < n; ++t) {
+    if (dones[t]) continue;
+    const bool successor =
+        t + 1 < n && next_rows[t].size() == rows[t + 1].size() &&
+        (rows[t + 1].empty() ||
+         std::memcmp(next_rows[t].data(), rows[t + 1].data(),
+                     rows[t + 1].size() * sizeof(float)) == 0);
+    if (!successor) fallback.push_back(static_cast<int>(t));
+  }
+  return fallback;
+}
+
+std::vector<float> SuccessorValues(const std::vector<float>& values,
+                                   const std::vector<uint8_t>& dones,
+                                   const std::vector<int>& fallback,
+                                   const std::vector<float>& fallback_values) {
+  const size_t n = values.size();
+  if (dones.size() != n || fallback_values.size() != fallback.size()) {
+    throw std::invalid_argument("SuccessorValues: length mismatch");
+  }
+  std::vector<float> next_values(n, 0.0f);
+  for (size_t t = 0; t + 1 < n; ++t) {
+    if (!dones[t]) next_values[t] = values[t + 1];
+  }
+  for (size_t i = 0; i < fallback.size(); ++i) {
+    next_values.at(static_cast<size_t>(fallback[i])) = fallback_values[i];
+  }
+  return next_values;
 }
 
 void NormalizeInPlace(std::vector<float>& xs) {

@@ -640,6 +640,15 @@ void MtaRange([[maybe_unused]] GemmIsa isa, const float* a, const float* b,
 
 // --- TransposedB family: C[i][j] = dot(A row i, B row j) in double --------
 
+// Products of fewer than kTbPackMinRows rows, one-column products and empty
+// sums run one row at a time over B as stored; the rest pack B (below).
+// Timed serially against each other at every tier (BENCH_nn.json,
+// "transposed_b_paths"), the packed path is 0.4-0.6x the row path at one
+// row and 0.7-0.9x at two, still loses at 4x3012x128 (0.7-0.85x, packing
+// 385k values), and at n = 1 fills one lane per vector and loses at
+// 33x7x1 (0.7-0.8x). From 8 rows with n >= 2 every shape of the kernel
+// test sweep is faster packed (1.1-5.5x).
+constexpr int kTbPackMinRows = 8;
 constexpr int kTbNr = 8;  // independent double accumulator chains per tile
 
 #define AGSC_TB_TILE_BODY                                                 \
@@ -678,8 +687,8 @@ TbTileAvx512(const float* a, const float* b, float* c, int k, int n, int i,
 
 #undef AGSC_TB_TILE_BODY
 
-void TbRange([[maybe_unused]] GemmIsa isa, const float* a, const float* b,
-             float* c, int k, int n, int r0, int r1) {
+void TbRowsRange([[maybe_unused]] GemmIsa isa, const float* a,
+                 const float* b, float* c, int k, int n, int r0, int r1) {
   auto* tile = TbTileGeneric;
 #if defined(__x86_64__) || defined(__i386__)
   if (isa == GemmIsa::kAvx512) {
@@ -701,6 +710,154 @@ void TbRange([[maybe_unused]] GemmIsa isa, const float* a, const float* b,
       c[static_cast<std::size_t>(i) * n + j0] = static_cast<float>(s);
     }
   }
+}
+
+constexpr int kTbMr = 4;  // rows per register block
+constexpr int kTbNv = 2;  // lane vectors of columns per full register block
+
+// B's rows lie k floats apart, so a column block of them cannot be one
+// vector load. Each call packs B transposed and widened instead,
+// bt[p][j] = double(B[j][p]), into a buffer from the tensor pool that holds
+// two floats per double (written and read through memcpy); each packed row
+// is zero-padded to ldb columns, a multiple of the tier's lane count.
+std::vector<float> PackTransposedB(const float* b, int n, int k, int ldb) {
+  std::vector<float> bt = internal::AcquireBuffer(
+      2 * static_cast<std::size_t>(k) * ldb, 0.0f);
+  for (int p = 0; p < k; ++p) {
+    float* row = bt.data() + 2 * static_cast<std::size_t>(p) * ldb;
+    for (int j = 0; j < n; ++j) {
+      const double v = b[static_cast<std::size_t>(j) * k + p];
+      std::memcpy(row + 2 * j, &v, sizeof(v));
+    }
+  }
+  return bt;
+}
+
+// Rows [i0, i0 + MR) x columns [j0, j0 + NV * lanes), all of k. V holds one
+// tier's native number of double lanes and F as many floats; lane l of
+// acc[ii][v] is the whole chain of C[i0 + ii][j0 + v * lanes + l], advanced
+// by one exact product double(a) * double(b) and one rounded double add per
+// p, in ascending p from 0.0 like the naive reference. Padded lanes are
+// computed but never stored.
+template <typename V, typename F, int MR, int NV>
+__attribute__((always_inline)) inline void TbBlock(const float* a,
+                                                   const float* bt, float* c,
+                                                   int k, int n, int ldb,
+                                                   int i0, int j0) {
+  constexpr int kLanes = sizeof(V) / sizeof(double);
+  V acc[MR][NV] = {};
+  const float* arows = a + static_cast<std::size_t>(i0) * k;
+  const float* bp = bt + 2 * static_cast<std::size_t>(j0);
+  for (int p = 0; p < k; ++p, bp += 2 * static_cast<std::size_t>(ldb)) {
+    V bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      std::memcpy(&bv[v], bp + 2 * v * kLanes, sizeof(V));
+    }
+    for (int ii = 0; ii < MR; ++ii) {
+      const double av = arows[static_cast<std::size_t>(ii) * k + p];
+      for (int v = 0; v < NV; ++v) acc[ii][v] += av * bv[v];
+    }
+  }
+  // Converted in a branch-free loop first, so acc stays in registers.
+  F out[MR][NV];
+  for (int ii = 0; ii < MR; ++ii) {
+    for (int v = 0; v < NV; ++v) {
+      out[ii][v] = __builtin_convertvector(acc[ii][v], F);
+    }
+  }
+  for (int ii = 0; ii < MR; ++ii) {
+    float* crow = c + static_cast<std::size_t>(i0 + ii) * n;
+    for (int v = 0; v < NV; ++v) {
+      const int j = j0 + v * kLanes;
+      if (j + kLanes <= n) {
+        std::memcpy(crow + j, &out[ii][v], sizeof(F));
+      } else {
+        for (int l = 0; l < n - j; ++l) crow[j + l] = out[ii][v][l];
+      }
+    }
+  }
+}
+
+// Rows [i0, i0 + MR) across all n columns: blocks of kTbNv lane vectors,
+// then at most one single-vector block for the rest of the padded row
+// (ldb is a multiple of the lane count).
+template <typename V, typename F, int MR>
+__attribute__((always_inline)) inline void TbBandBody(const float* a,
+                                                      const float* bt,
+                                                      float* c, int k, int n,
+                                                      int ldb, int i0) {
+  constexpr int kLanes = sizeof(V) / sizeof(double);
+  int j0 = 0;
+  for (; j0 + kTbNv * kLanes <= ldb; j0 += kTbNv * kLanes) {
+    TbBlock<V, F, MR, kTbNv>(a, bt, c, k, n, ldb, i0, j0);
+  }
+  for (; j0 < ldb; j0 += kLanes) {
+    TbBlock<V, F, MR, 1>(a, bt, c, k, n, ldb, i0, j0);
+  }
+}
+
+typedef double TbLanes2 __attribute__((vector_size(2 * sizeof(double))));
+typedef float TbFloats2 __attribute__((vector_size(2 * sizeof(float))));
+
+template <int MR>
+void TbBandGeneric(const float* a, const float* bt, float* c, int k, int n,
+                   int ldb, int i0) {
+  TbBandBody<TbLanes2, TbFloats2, MR>(a, bt, c, k, n, ldb, i0);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+typedef double TbLanes4 __attribute__((vector_size(4 * sizeof(double))));
+typedef float TbFloats4 __attribute__((vector_size(4 * sizeof(float))));
+typedef double TbLanes8 __attribute__((vector_size(8 * sizeof(double))));
+typedef float TbFloats8 __attribute__((vector_size(8 * sizeof(float))));
+
+template <int MR>
+__attribute__((target("avx2"))) void TbBandAvx2(const float* a,
+                                                const float* bt, float* c,
+                                                int k, int n, int ldb,
+                                                int i0) {
+  TbBandBody<TbLanes4, TbFloats4, MR>(a, bt, c, k, n, ldb, i0);
+}
+
+template <int MR>
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
+TbBandAvx512(const float* a, const float* bt, float* c, int k, int n,
+             int ldb, int i0) {
+  TbBandBody<TbLanes8, TbFloats8, MR>(a, bt, c, k, n, ldb, i0);
+}
+#endif  // x86
+
+using TbBandFn = void (*)(const float*, const float*, float*, int, int, int,
+                          int);
+
+const TbBandFn* TbBands([[maybe_unused]] GemmIsa isa) {
+  static constexpr TbBandFn kGeneric[kTbMr] = {
+      TbBandGeneric<1>, TbBandGeneric<2>, TbBandGeneric<3>, TbBandGeneric<4>};
+#if defined(__x86_64__) || defined(__i386__)
+  static constexpr TbBandFn kAvx2[kTbMr] = {TbBandAvx2<1>, TbBandAvx2<2>,
+                                            TbBandAvx2<3>, TbBandAvx2<4>};
+  static constexpr TbBandFn kAvx512[kTbMr] = {
+      TbBandAvx512<1>, TbBandAvx512<2>, TbBandAvx512<3>, TbBandAvx512<4>};
+  if (isa == GemmIsa::kAvx512) return kAvx512;
+  if (isa == GemmIsa::kAvx2) return kAvx2;
+#endif
+  return kGeneric;
+}
+
+// Double lanes per vector in each tier's bands.
+int TbLanes(GemmIsa isa) {
+  return isa == GemmIsa::kAvx512 ? 8 : isa == GemmIsa::kAvx2 ? 4 : 2;
+}
+
+// Full kTbMr-row bands, then the remainder rows as one shorter band.
+void TbRange(GemmIsa isa, const float* a, const float* bt, float* c, int k,
+             int n, int ldb, int r0, int r1) {
+  const TbBandFn* bands = TbBands(isa);
+  int i0 = r0;
+  for (; i0 + kTbMr <= r1; i0 += kTbMr) {
+    bands[kTbMr - 1](a, bt, c, k, n, ldb, i0);
+  }
+  if (i0 < r1) bands[r1 - i0 - 1](a, bt, c, k, n, ldb, i0);
 }
 
 // --- Kernel configuration + row-partitioned parallel driver ---------------
@@ -796,6 +953,22 @@ Tensor RunMatMul(const Tensor& a, const Tensor& b, GemmIsa isa,
   return c;
 }
 
+// The packed path, kept out of line so the row-at-a-time products do not
+// carry its code and stack frame. B is packed on the calling thread before
+// the rows are split, so every row chunk reads the same copy.
+__attribute__((noinline)) void RunPackedTb(GemmIsa isa, const GemmPlan& plan,
+                                           const float* a, const float* b,
+                                           float* c, int m, int k, int n) {
+  const int lanes = TbLanes(isa);
+  const int ldb = (n + lanes - 1) / lanes * lanes;
+  std::vector<float> bt = PackTransposedB(b, n, k, ldb);
+  const float* btp = bt.data();
+  RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
+    TbRange(isa, a, btp, c, k, n, ldb, r0, r1);
+  });
+  internal::ReleaseBuffer(std::move(bt));
+}
+
 Tensor RunMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa,
                             const GemmPlan& plan) {
   if (a.cols() != b.cols()) {
@@ -808,9 +981,13 @@ Tensor RunMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa,
   const float* ap = a.data();
   const float* bp = b.data();
   float* cp = c.data();
-  RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    TbRange(isa, ap, bp, cp, k, n, r0, r1);
-  });
+  if (m < kTbPackMinRows || n == 1 || k == 0) {
+    RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
+      TbRowsRange(isa, ap, bp, cp, k, n, r0, r1);
+    });
+  } else {
+    RunPackedTb(isa, plan, ap, bp, cp, m, k, n);
+  }
   return c;
 }
 

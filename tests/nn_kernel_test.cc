@@ -60,6 +60,25 @@ Tensor RandomTensor(int rows, int cols, util::Rng& rng) {
   return t;
 }
 
+/// MatMulTransposedB operands whose chains cancel: every product at p = 0
+/// is +2^40 and at p = k - 1 it is -2^40, so the terms between are rounded
+/// to the 2^-12 grid of a 2^40 partial sum and the float result keeps those
+/// roundings. A chain summed in any order but ascending p from 0 then
+/// rounds differently; on RandomTensor's narrow range the double chain
+/// rounded once to float almost never shows the order.
+void MakeChainsCancel(Tensor& a, Tensor& bt) {
+  const int k = a.cols();
+  if (k < 3) return;
+  for (int i = 0; i < a.rows(); ++i) {
+    a(i, 0) = std::ldexp(1.0f, 40);
+    a(i, k - 1) = -std::ldexp(1.0f, 40);
+  }
+  for (int j = 0; j < bt.rows(); ++j) {
+    bt(j, 0) = 1.0f;
+    bt(j, k - 1) = 1.0f;
+  }
+}
+
 /// Exact elementwise equality with shape (fails loudly with indices).
 void ExpectBitEqual(const Tensor& a, const Tensor& b, const std::string& tag) {
   ASSERT_EQ(a.rows(), b.rows()) << tag;
@@ -76,8 +95,15 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const std::string& tag) {
 // tile with full 32-column tiles, then the shapes the workloads run: a
 // 4-row rollout step and a 1-row served request through the first actor
 // layer at 1000 and 100 PoIs, and minibatch-sized critic (1), actor (2)
-// and i-EOI (4) heads. The last two carry remainder columns across more
-// than one 256-value panel of k.
+// and i-EOI (4) heads. The next two carry remainder columns across more
+// than one 256-value panel of k. The third block straddles the packed
+// MatMulTransposedB tile by one: 7/8/9 rows around its packing threshold,
+// 11/12/13 rows around its 4-row block, and 7/8/9, 15/16/17 and 2 columns
+// around the one- and two-vector blocks of 8 double lanes (AVX-512; the
+// 2- and 4-lane tiers' boundaries fall among them too); then its workload
+// shapes, the hidden-layer input gradients of the full 256-row minibatch
+// and the 144-row remainder of 400 rows, and the actor and critic heads'
+// input gradients.
 struct GemmShape {
   int m, k, n;
 };
@@ -90,6 +116,9 @@ const std::vector<GemmShape>& SweepShapes() {
       {1, 5, 32}, {2, 9, 33},  {3, 17, 64}, {4, 7, 65},  {5, 3, 40},
       {6, 12, 96}, {7, 31, 70}, {4, 3012, 128}, {1, 312, 128},
       {256, 64, 1}, {256, 64, 2}, {256, 64, 4}, {9, 600, 34}, {5, 257, 3},
+      {7, 6, 16}, {8, 5, 7},   {9, 4, 9},   {11, 9, 15}, {12, 3, 17},
+      {13, 10, 8}, {12, 7, 2}, {8, 0, 9},
+      {256, 64, 128}, {144, 64, 128}, {256, 2, 64}, {256, 1, 64},
   };
   return shapes;
 }
@@ -118,8 +147,11 @@ TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
     const Tensor b = RandomTensor(s.k, s.n, rng);
     const Tensor at = RandomTensor(s.k, s.m, rng);  // A^T for TransposedA.
     const Tensor bt = RandomTensor(s.n, s.k, rng);  // B^T for TransposedB.
+    Tensor ca = a, cbt = bt;
+    MakeChainsCancel(ca, cbt);
     const Tensor mm = nn::internal::NaiveMatMul(a, b);
     const Tensor tb = nn::internal::NaiveMatMulTransposedB(a, bt);
+    const Tensor ctb = nn::internal::NaiveMatMulTransposedB(ca, cbt);
     const Tensor ta = nn::internal::NaiveMatMulTransposedA(at, b);
 
     const std::string tag = "shape " + std::to_string(s.m) + "x" +
@@ -135,6 +167,8 @@ TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
                      "MatMul " + tier);
       ExpectBitEqual(nn::internal::BlockedMatMulTransposedB(a, bt, isa), tb,
                      "MatMulTransposedB " + tier);
+      ExpectBitEqual(nn::internal::BlockedMatMulTransposedB(ca, cbt, isa), ctb,
+                     "MatMulTransposedB cancelling " + tier);
       ExpectBitEqual(nn::internal::BlockedMatMulTransposedA(at, b, isa), ta,
                      "MatMulTransposedA " + tier);
     }
@@ -181,6 +215,11 @@ TEST(GemmKernelTest, NaNPropagatesThroughZeroActivation) {
   const float kNan = std::numeric_limits<float>::quiet_NaN();
   Tensor act = Tensor::FromRowMajor(1, 2, {0.0f, 0.0f});  // all-zero row.
   Tensor w = Tensor::FromRowMajor(2, 2, {kNan, 1.0f, 2.0f, 3.0f});
+  // MatMulTransposedB's input gradient: all-zero gradient rows against a
+  // weight matrix holding one NaN, for one row (the row-at-a-time path) and
+  // for 16 rows (the packed tile).
+  Tensor w_tb = Tensor::FromRowMajor(3, 2, {1.0f, 2.0f, kNan, 3.0f, 4.0f,
+                                            5.0f});
   for (GemmKernel kernel : {GemmKernel::kNaive, GemmKernel::kBlocked}) {
     KernelConfig config;
     config.gemm = kernel;
@@ -191,6 +230,16 @@ TEST(GemmKernelTest, NaNPropagatesThroughZeroActivation) {
     Tensor out_ta = nn::MatMulTransposedA(act.Transposed(), w);
     EXPECT_TRUE(std::isnan(out_ta(0, 0)))
         << "TransposedA kernel " << static_cast<int>(kernel);
+    for (int rows : {1, 16}) {
+      Tensor out_tb = nn::MatMulTransposedB(Tensor(rows, 2), w_tb);
+      for (int i = 0; i < rows; ++i) {
+        EXPECT_TRUE(std::isnan(out_tb(i, 1)))
+            << "TransposedB kernel " << static_cast<int>(kernel) << " rows "
+            << rows << " row " << i;
+        EXPECT_EQ(out_tb(i, 0), 0.0f);
+        EXPECT_EQ(out_tb(i, 2), 0.0f);
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy.h"
 #include "core/ppo.h"
 #include "core/rollout.h"
 #include "util/rng.h"
@@ -73,6 +74,69 @@ TEST(AdvantageTest, GaeResetsAtEpisodeBoundary) {
       GaeAdvantages(rewards, values, next_values, dones, 0.9f, 0.9f);
   // Episode 2's reward must not leak into episode 1.
   EXPECT_NEAR(gae.advantages[0], 1.0f, 1e-6);
+}
+
+TEST(SuccessorValuesTest, EveryReadValueMatchesTheCriticOnTheNextRow) {
+  // Hand-built stream: rows 0-1 and 3-5 follow each other, except that row
+  // 1's next row is not row 2 (a non-done row the byte check must catch),
+  // row 2 ends an episode (its next row is a terminal observation nobody
+  // reads), and row 5, the last row, is cut off mid-episode.
+  util::Rng rng(21);
+  auto random_row = [&] {
+    std::vector<float> row(3);
+    for (float& x : row) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    return row;
+  };
+  std::vector<std::vector<float>> rows;
+  for (int t = 0; t < 6; ++t) rows.push_back(random_row());
+  std::vector<std::vector<float>> next_rows;
+  for (int t = 0; t < 5; ++t) next_rows.push_back(rows[t + 1]);
+  next_rows.push_back(random_row());
+  next_rows[1] = random_row();
+  next_rows[2] = random_row();
+  const std::vector<uint8_t> dones = {0, 0, 1, 0, 0, 0};
+
+  NetConfig net;
+  net.hidden = {8};
+  const ValueNet critic(3, net, rng);
+  const std::vector<int> fallback =
+      SuccessorFallbackRows(rows, next_rows, dones);
+  EXPECT_EQ(fallback, (std::vector<int>{1, 5}));
+  std::vector<std::vector<float>> fallback_rows;
+  for (int t : fallback) fallback_rows.push_back(next_rows[t]);
+  const std::vector<float> values = critic.Values(rows);
+  const std::vector<float> next_values = SuccessorValues(
+      values, dones, fallback, critic.Values(fallback_rows));
+
+  // The direct second pass the successor step replaces.
+  const std::vector<float> direct = critic.Values(next_rows);
+  ASSERT_EQ(next_values.size(), rows.size());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    if (dones[t]) continue;
+    EXPECT_EQ(next_values[t], critic.Values({next_rows[t]})[0]) << "row " << t;
+    EXPECT_EQ(next_values[t], direct[t]) << "row " << t;
+  }
+  const std::vector<float> rewards = {0.5f, -1.0f, 2.0f, 0.25f, 1.5f, -0.5f};
+  const AdvantageResult one = OneStepAdvantages(rewards, values, next_values,
+                                                dones, 0.95f);
+  const AdvantageResult one_direct =
+      OneStepAdvantages(rewards, values, direct, dones, 0.95f);
+  EXPECT_EQ(one.advantages, one_direct.advantages);
+  EXPECT_EQ(one.returns, one_direct.returns);
+  const AdvantageResult gae =
+      GaeAdvantages(rewards, values, next_values, dones, 0.95f, 0.9f);
+  const AdvantageResult gae_direct =
+      GaeAdvantages(rewards, values, direct, dones, 0.95f, 0.9f);
+  EXPECT_EQ(gae.advantages, gae_direct.advantages);
+  EXPECT_EQ(gae.returns, gae_direct.returns);
+}
+
+TEST(SuccessorValuesTest, LengthMismatchThrows) {
+  EXPECT_THROW(SuccessorFallbackRows({{1.0f}}, {}, {0}),
+               std::invalid_argument);
+  EXPECT_THROW(SuccessorValues({1.0f, 2.0f}, {0}, {}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(SuccessorValues({1.0f}, {0}, {0}, {}), std::invalid_argument);
 }
 
 TEST(NormalizeTest, ZeroMeanUnitStd) {

@@ -13,6 +13,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -262,6 +263,46 @@ TEST(ProcSamplerTest, MoreWorkersThanEpisodesStillMatches) {
   const core::MultiAgentBuffer proc = ProcCollect(4, 2, &proc_metrics);
   ExpectBuffersBitEqual(vec, proc);
   ExpectMetricsBitEqual(vec_metrics, proc_metrics);
+}
+
+TEST(ProcSamplerTest, NextRowIsTheFollowingRowWithinEpisodes) {
+  // The trainer takes V(next_obs[t]) from V(obs[t + 1]) wherever the two
+  // rows are byte-equal and runs a second critic pass on every other
+  // non-done row, so a sampler that broke this would only show up as a
+  // slower optimize phase. Pin it for both transports.
+  struct Collected {
+    std::string name;
+    core::MultiAgentBuffer buffer;
+  };
+  std::vector<Collected> runs;
+  runs.push_back({"vec W=1", VecCollect(1, 3, nullptr)});
+  runs.push_back({"vec W=3", VecCollect(3, 5, nullptr)});
+  runs.push_back({"proc W=2", ProcCollect(2, 5, nullptr)});
+  auto expect_next_is_following =
+      [](const std::vector<std::vector<float>>& rows,
+         const std::vector<std::vector<float>>& next_rows,
+         const std::vector<uint8_t>& dones) {
+        ASSERT_EQ(next_rows.size(), rows.size());
+        ASSERT_EQ(dones.size(), rows.size());
+        ASSERT_TRUE(dones.back());
+        for (size_t t = 0; t + 1 < rows.size(); ++t) {
+          if (dones[t]) continue;
+          ASSERT_EQ(next_rows[t].size(), rows[t + 1].size()) << "row " << t;
+          EXPECT_EQ(std::memcmp(next_rows[t].data(), rows[t + 1].data(),
+                                rows[t + 1].size() * sizeof(float)),
+                    0)
+              << "row " << t;
+        }
+      };
+  for (const Collected& run : runs) {
+    SCOPED_TRACE(run.name);
+    const core::MultiAgentBuffer& b = run.buffer;
+    ASSERT_GT(b.size(), 0u);
+    expect_next_is_following(b.states, b.next_states, b.done);
+    for (const core::AgentRollout& r : b.agents) {
+      expect_next_is_following(r.obs, r.next_obs, r.done);
+    }
+  }
 }
 
 TEST(ProcSamplerTest, PrimaryRngStreamsAdvanceIdentically) {

@@ -5,9 +5,11 @@
 // checked into BENCH_nn.json.
 //
 // GEMM benchmarks take a second argument selecting the kernel mode:
-//   0 = naive reference, 1 = blocked, 2 = blocked + 4 worker threads.
-// All modes produce bit-identical outputs (asserted per run below and by
-// nn_kernel_test); only throughput differs.
+//   0 = naive reference, 1 = blocked.
+// Both modes produce bit-identical outputs (asserted per run below and by
+// nn_kernel_test); only throughput differs. BM_PpoUpdate runs the trainer's
+// optimize phase as agsc_train does, its agent tasks on up to as many cores
+// as the process may use.
 
 #include <benchmark/benchmark.h>
 
@@ -32,8 +34,6 @@ class KernelModeGuard {
     nn::KernelConfig config;
     config.gemm =
         mode == 0 ? nn::GemmKernel::kNaive : nn::GemmKernel::kBlocked;
-    config.nn_threads = mode == 2 ? 4 : 0;
-    if (mode == 2) config.parallel_min_flops = 0;
     nn::SetKernelConfig(config);
   }
   ~KernelModeGuard() { nn::SetKernelConfig(saved_); }
@@ -43,14 +43,7 @@ class KernelModeGuard {
 };
 
 const char* KernelModeName(int mode) {
-  switch (mode) {
-    case 0:
-      return "naive";
-    case 1:
-      return "blocked";
-    default:
-      return "blocked_t4";
-  }
+  return mode == 0 ? "naive" : "blocked";
 }
 
 /// Cross-checks one blocked product against the naive reference; bails the
@@ -81,7 +74,7 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }
 BENCHMARK(BM_MatMul)
-    ->ArgsProduct({{64, 128, 256}, {0, 1, 2}});
+    ->ArgsProduct({{64, 128, 256}, {0, 1}});
 
 void BM_MatMulTransposedB(benchmark::State& state) {
   // m x k times (n x k)^T. Besides the square cases: the input gradients
@@ -108,13 +101,13 @@ void BM_MatMulTransposedB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
 }
 BENCHMARK(BM_MatMulTransposedB)
-    ->ArgsProduct({{128}, {128}, {128}, {0, 1, 2}})
-    ->ArgsProduct({{256}, {256}, {256}, {0, 1, 2}})
-    ->ArgsProduct({{256}, {64}, {128}, {0, 1, 2}})
-    ->ArgsProduct({{256}, {2}, {64}, {0, 1, 2}})
-    ->ArgsProduct({{256}, {1}, {64}, {0, 1, 2}})
-    ->ArgsProduct({{1, 4}, {64}, {128}, {0, 1, 2}})
-    ->ArgsProduct({{256}, {64}, {1}, {0, 1, 2}});
+    ->ArgsProduct({{128}, {128}, {128}, {0, 1}})
+    ->ArgsProduct({{256}, {256}, {256}, {0, 1}})
+    ->ArgsProduct({{256}, {64}, {128}, {0, 1}})
+    ->ArgsProduct({{256}, {2}, {64}, {0, 1}})
+    ->ArgsProduct({{256}, {1}, {64}, {0, 1}})
+    ->ArgsProduct({{1, 4}, {64}, {128}, {0, 1}})
+    ->ArgsProduct({{256}, {64}, {1}, {0, 1}});
 
 void BM_MatMulTransposedA(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -133,7 +126,7 @@ void BM_MatMulTransposedA(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }
-BENCHMARK(BM_MatMulTransposedA)->ArgsProduct({{128, 256}, {0, 1, 2}});
+BENCHMARK(BM_MatMulTransposedA)->ArgsProduct({{128, 256}, {0, 1}});
 
 void BM_MatMulTraining(benchmark::State& state) {
   // The dominant training GEMM shape: minibatch x obs -> hidden.
@@ -151,7 +144,7 @@ void BM_MatMulTraining(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 64 * 312 * 128);
 }
-BENCHMARK(BM_MatMulTraining)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MatMulTraining)->Arg(0)->Arg(1);
 
 void BM_MatMulSmallRows(benchmark::State& state) {
   // Action selection: m observation rows (1 when serving or evaluating one
@@ -174,7 +167,7 @@ void BM_MatMulSmallRows(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * 128);
 }
-BENCHMARK(BM_MatMulSmallRows)->ArgsProduct({{1, 4}, {312, 3012}, {0, 1, 2}});
+BENCHMARK(BM_MatMulSmallRows)->ArgsProduct({{1, 4}, {312, 3012}, {0, 1}});
 
 void BM_MlpForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
@@ -274,25 +267,21 @@ void BM_PpoUpdate(benchmark::State& state) {
   train.seed = 11;
   train.verbose = false;
   train.nn_naive_kernels = (mode == 0);
-  train.nn_threads = mode == 2 ? 4 : 0;
   // Guard first (captures the default config to restore afterwards); the
   // trainer ctor then installs the config implied by `train`.
   KernelModeGuard guard(mode);
   core::HiMadrlTrainer trainer(env, train);
-  if (mode == 2) {
-    // The ctor resets parallel_min_flops; force the bench-sized GEMMs onto
-    // the worker pool anyway so the threaded path is what gets timed.
-    nn::KernelConfig kc = nn::GetKernelConfig();
-    kc.parallel_min_flops = 0;
-    nn::SetKernelConfig(kc);
-  }
   state.SetLabel(KernelModeName(mode));
   trainer.CollectRollouts();
   for (auto _ : state) {
     trainer.OptimizeOnCurrentBuffer();
   }
 }
-BENCHMARK(BM_PpoUpdate)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PpoUpdate)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()  // The agent tasks run on several threads.
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -62,7 +62,6 @@ HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
   nn::KernelConfig kernel_config;
   kernel_config.gemm = config_.nn_naive_kernels ? nn::GemmKernel::kNaive
                                                 : nn::GemmKernel::kBlocked;
-  kernel_config.nn_threads = config_.nn_threads;
   nn::SetKernelConfig(kernel_config);
 
   const int num_agents = env_.num_agents();
@@ -359,10 +358,14 @@ HiMadrlTrainer::OptimizeInputs HiMadrlTrainer::BuildOptimizeInputs() const {
   for (int k = 0; k < num_agents; ++k) {
     const AgentRollout& r = buffer_.agents[k];
     in.actor[k].reserve(n);
-    in.critic[k].reserve(n);
     for (size_t i = 0; i < n; ++i) {
       in.actor[k].push_back(ActorInput(k, r.obs[i]));
-      in.critic[k].push_back(CriticInput(k, r.obs[i], buffer_.states[i]));
+    }
+    if (StateCritic()) {
+      in.critic[k].reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        in.critic[k].push_back(CriticInput(k, r.obs[i], buffer_.states[i]));
+      }
     }
     in.obs_fallback[k] = SuccessorFallbackRows(r.obs, r.next_obs, r.done);
   }
@@ -377,7 +380,7 @@ HiMadrlTrainer::AgentAdvantages HiMadrlTrainer::AdvantagesOf(
   const AgentRollout& r = buffer_.agents[k];
   AgentAdvantages adv;
   adv.k = CriticAdvantages(
-      *nets.value, in.critic[k], r.reward, r.done,
+      *nets.value, CriticRows(in, k), r.reward, r.done,
       StateCritic() ? in.state_fallback : in.obs_fallback[k],
       [&](int t) {
         return CriticInput(k, r.next_obs[t], buffer_.next_states[t]);
@@ -403,157 +406,231 @@ AdvantageResult HiMadrlTrainer::OverallAdvantages(const OptimizeInputs& in,
       config_, normalize);
 }
 
+HiMadrlTrainer::EpochStats HiMadrlTrainer::AgentPolicyEpoch(
+    int k, const OptimizeInputs& in, const EpochDraws& draws) {
+  AgentNets& nets = Nets(k);
+  const AgentRollout& r = buffer_.agents[k];
+  const size_t n = buffer_.size();
+  EpochStats out;
+
+  // Value predictions (no grad) and advantage streams (Eqn. 24).
+  const AgentAdvantages adv = AdvantagesOf(k, in);
+
+  // Cooperation-aware advantage A_CO (Eqn. 27) or the base advantage.
+  std::vector<float> a_co(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!config_.use_copo) {
+      a_co[i] = adv.k.advantages[i];
+    } else if (config_.hetero_copo) {
+      a_co[i] = static_cast<float>(
+          CoopAdvantage(adv.k.advantages[i], adv.he.advantages[i],
+                        adv.ho.advantages[i], lcfs_[k]));
+    } else {
+      a_co[i] = static_cast<float>(CoopAdvantagePlain(
+          adv.k.advantages[i], adv.he.advantages[i], lcfs_[k]));
+    }
+  }
+
+  // Divergence guard: "last good" snapshots to roll back to when a
+  // minibatch produces a non-finite loss, gradient, or parameter.
+  std::vector<nn::Variable> actor_params = nets.actor->Parameters();
+  std::vector<nn::Variable> value_params(nets.value_opt->params());
+  std::vector<nn::Tensor> actor_good, value_good;
+  if (config_.divergence_guard) {
+    actor_good = nn::SnapshotParameters(actor_params);
+    value_good = nn::SnapshotParameters(value_params);
+  }
+
+  for (size_t b = 0; b < draws.batches.size(); ++b) {
+    const std::vector<int>& batch = draws.batches[b];
+    // One constant input node for the minibatch, read by the actor and by
+    // every critic whose input rows are the actor's.
+    const nn::Variable obs_b =
+        nn::Variable::Constant(PackBatch(in.actor[k], batch));
+
+    // --- Actor: maximize J_CO (Eqn. 28) + entropy bonus. ---
+    float actor_loss_val = 0.0f;
+    {
+      const nn::Tensor act_b = r.ActionBatch(batch);
+      std::vector<float> logp_old_b(batch.size()), a_co_b(batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        logp_old_b[i] = r.logp_old[batch[i]];
+        a_co_b[i] = a_co[batch[i]];
+      }
+      nn::DiagGaussian dist = nets.actor->Dist(obs_b);
+      nn::Variable logp = dist.LogProb(act_b);
+      nn::Variable surrogate =
+          PpoSurrogate(logp, logp_old_b, a_co_b, config_.clip);
+      // -(surrogate + c*H); one fused node instead of Sub(Neg, ScalarMul),
+      // bit-exact: negation distributes exactly over the rounded sum.
+      nn::Variable actor_loss = nn::Neg(
+          nn::AddScaled(surrogate, dist.Entropy(), config_.entropy_coef));
+      actor_loss_val = draws.poison[b]
+                           ? std::numeric_limits<float>::quiet_NaN()
+                           : actor_loss.value()(0, 0);
+      nets.actor_opt->ZeroGrad();
+      actor_loss.Backward();
+    }  // The graph ends with its Backward, before the next one is built.
+    const float norm = nn::ClipGradNorm(actor_params, config_.max_grad_norm);
+    if (config_.divergence_guard &&
+        (!std::isfinite(actor_loss_val) || !std::isfinite(norm))) {
+      // Poisoned minibatch: discard it entirely (actor and critics).
+      nn::RestoreParameters(actor_good, actor_params);
+      ++out.anomalies;
+      continue;
+    }
+    out.grad_norms.push_back(norm);
+    nets.actor_opt->Step();
+    if (config_.divergence_guard) {
+      if (!AllFinite(actor_params)) {
+        nn::RestoreParameters(actor_good, actor_params);
+        ++out.anomalies;
+        continue;
+      }
+      actor_good = nn::SnapshotParameters(actor_params);
+    }
+
+    // --- Critics: Eqn. (26) TD regression for V^k, V_HE, V_HO. ---
+    // Each loss's graph ends with its Backward.
+    auto critic_loss = [&](const ValueNet& net, const nn::Variable& input,
+                           const AdvantageResult& target) {
+      nn::Tensor t(static_cast<int>(batch.size()), 1);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        t(static_cast<int>(i), 0) = target.returns[batch[i]];
+      }
+      nn::Variable loss = nn::MseLoss(net.Forward(input), t);
+      loss.Backward();
+      return loss.value()(0, 0);
+    };
+    nets.value_opt->ZeroGrad();
+    const nn::Variable critic_b =
+        StateCritic() ? nn::Variable::Constant(PackBatch(in.critic[k], batch))
+                      : obs_b;
+    const float v_loss_val = critic_loss(*nets.value, critic_b, adv.k);
+    float aux_loss_val = 0.0f;
+    if (config_.use_copo) {
+      const float he_loss_val = critic_loss(*nets.value_he, obs_b, adv.he);
+      aux_loss_val = he_loss_val + critic_loss(*nets.value_ho, obs_b, adv.ho);
+    }
+    if (config_.divergence_guard &&
+        (!std::isfinite(v_loss_val) || !std::isfinite(aux_loss_val))) {
+      ++out.anomalies;
+      continue;  // Params untouched: no step was taken.
+    }
+    out.value_losses.push_back(v_loss_val);
+    nets.value_opt->Step();
+    if (config_.divergence_guard) {
+      if (!AllFinite(value_params)) {
+        nn::RestoreParameters(value_good, value_params);
+        ++out.anomalies;
+        continue;
+      }
+      value_good = nn::SnapshotParameters(value_params);
+    }
+  }
+  return out;
+}
+
+int HiMadrlTrainer::OverallValueEpoch(const OptimizeInputs& in,
+                                      const Minibatches& batches) {
+  int anomalies = 0;
+  const AdvantageResult adv_all = OverallAdvantages(in, false);
+  for (const std::vector<int>& batch : batches) {
+    nn::Tensor target(static_cast<int>(batch.size()), 1);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      target(static_cast<int>(i), 0) = adv_all.returns[batch[i]];
+    }
+    value_all_opt_->ZeroGrad();
+    float loss_val = 0.0f;
+    {
+      nn::Variable all_loss = nn::MseLoss(
+          value_all_->Forward(
+              nn::Variable::Constant(buffer_.StateBatch(batch))),
+          target);
+      all_loss.Backward();
+      loss_val = all_loss.value()(0, 0);
+    }
+    if (config_.divergence_guard && !std::isfinite(loss_val)) {
+      ++anomalies;
+      continue;  // Skip the poisoned minibatch; no step was taken.
+    }
+    value_all_opt_->Step();
+  }
+  return anomalies;
+}
+
+void HiMadrlTrainer::RunOptimizeTasks(
+    int count, const std::function<void(int)>& task) {
+  if (!optimize_pool_) {
+    // Created by the first optimize phase, so a trainer that never
+    // optimizes (a serving staging trainer, a rollout-only run) starts no
+    // threads. One lane per CPU the process may run on, up to PolicyUpdate's
+    // task count; the calling thread runs one lane itself.
+    const int m1_tasks = AgentGroups() + (config_.use_copo ? 1 : 0);
+    optimize_pool_ = std::make_unique<util::ThreadPool>(
+        std::min(util::AvailableCpus(), m1_tasks) - 1);
+  }
+  optimize_pool_->ParallelForStriped(count, task);
+}
+
 std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
     const OptimizeInputs& in) {
   const int num_agents = env_.num_agents();
+  const int epochs = config_.policy_epochs;
   const size_t n = buffer_.size();
 
-  double grad_norm_sum = 0.0, value_loss_sum = 0.0;
-  long grad_norm_count = 0, value_loss_count = 0;
-
-  for (int epoch = 0; epoch < config_.policy_epochs; ++epoch) {
-    for (int k = 0; k < num_agents; ++k) {
-      AgentNets& nets = Nets(k);
-      AgentRollout& r = buffer_.agents[k];
-
-      // Value predictions (no grad) and advantage streams (Eqn. 24).
-      const AgentAdvantages adv = AdvantagesOf(k, in);
-
-      // Cooperation-aware advantage A_CO (Eqn. 27) or the base advantage.
-      std::vector<float> a_co(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!config_.use_copo) {
-          a_co[i] = adv.k.advantages[i];
-        } else if (config_.hetero_copo) {
-          a_co[i] = static_cast<float>(
-              CoopAdvantage(adv.k.advantages[i], adv.he.advantages[i],
-                            adv.ho.advantages[i], lcfs_[k]));
-        } else {
-          a_co[i] = static_cast<float>(CoopAdvantagePlain(
-              adv.k.advantages[i], adv.he.advantages[i], lcfs_[k]));
-        }
-      }
-
-      // Divergence guard: "last good" snapshots to roll back to when a
-      // minibatch produces a non-finite loss, gradient, or parameter.
-      std::vector<nn::Variable> actor_params = nets.actor->Parameters();
-      std::vector<nn::Variable> value_params(nets.value_opt->params());
-      std::vector<nn::Tensor> actor_good, value_good;
-      if (config_.divergence_guard) {
-        actor_good = nn::SnapshotParameters(actor_params);
-        value_good = nn::SnapshotParameters(value_params);
-      }
-
-      for (const std::vector<int>& batch :
-           MakeMinibatches(n, config_.minibatch, rng_)) {
-        // --- Actor: maximize J_CO (Eqn. 28) + entropy bonus. ---
-        nn::Tensor obs_b = PackBatch(in.actor[k], batch);
-        nn::Tensor act_b = r.ActionBatch(batch);
-        std::vector<float> logp_old_b(batch.size()), a_co_b(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-          logp_old_b[i] = r.logp_old[batch[i]];
-          a_co_b[i] = a_co[batch[i]];
-        }
-        nn::DiagGaussian dist = nets.actor->Dist(obs_b);
-        nn::Variable logp = dist.LogProb(act_b);
-        nn::Variable surrogate =
-            PpoSurrogate(logp, logp_old_b, a_co_b, config_.clip);
-        // -(surrogate + c*H); one fused node instead of Sub(Neg, ScalarMul),
-        // bit-exact: negation distributes exactly over the rounded sum.
-        nn::Variable actor_loss = nn::Neg(
-            nn::AddScaled(surrogate, dist.Entropy(), config_.entropy_coef));
-        float actor_loss_val = actor_loss.value()(0, 0);
-        if (util::FaultInjector::Instance().PoisonLossNow()) {
-          actor_loss_val = std::numeric_limits<float>::quiet_NaN();
-        }
-        nets.actor_opt->ZeroGrad();
-        actor_loss.Backward();
-        const float norm = nn::ClipGradNorm(actor_params,
-                                            config_.max_grad_norm);
-        if (config_.divergence_guard &&
-            (!std::isfinite(actor_loss_val) || !std::isfinite(norm))) {
-          // Poisoned minibatch: discard it entirely (actor and critics).
-          nn::RestoreParameters(actor_good, actor_params);
-          ++iter_anomalies_;
-          continue;
-        }
-        grad_norm_sum += norm;
-        ++grad_norm_count;
-        nets.actor_opt->Step();
-        if (config_.divergence_guard) {
-          if (!AllFinite(actor_params)) {
-            nn::RestoreParameters(actor_good, actor_params);
-            ++iter_anomalies_;
-            continue;
-          }
-          actor_good = nn::SnapshotParameters(actor_params);
-        }
-
-        // --- Critics: Eqn. (26) TD regression for V^k, V_HE, V_HO. ---
-        auto value_target = [&](const AdvantageResult& adv) {
-          nn::Tensor t(static_cast<int>(batch.size()), 1);
-          for (size_t i = 0; i < batch.size(); ++i) {
-            t(static_cast<int>(i), 0) = adv.returns[batch[i]];
-          }
-          return t;
-        };
-        nets.value_opt->ZeroGrad();
-        nn::Tensor critic_b = PackBatch(in.critic[k], batch);
-        nn::Variable v_loss =
-            nn::MseLoss(nets.value->Forward(critic_b), value_target(adv.k));
-        v_loss.Backward();
-        const float v_loss_val = v_loss.value()(0, 0);
-        float aux_loss_val = 0.0f;
-        if (config_.use_copo) {
-          nn::Variable he_loss =
-              nn::MseLoss(nets.value_he->Forward(obs_b), value_target(adv.he));
-          he_loss.Backward();
-          nn::Variable ho_loss =
-              nn::MseLoss(nets.value_ho->Forward(obs_b), value_target(adv.ho));
-          ho_loss.Backward();
-          aux_loss_val = he_loss.value()(0, 0) + ho_loss.value()(0, 0);
-        }
-        if (config_.divergence_guard &&
-            (!std::isfinite(v_loss_val) || !std::isfinite(aux_loss_val))) {
-          ++iter_anomalies_;
-          continue;  // Params untouched: no step was taken.
-        }
-        value_loss_sum += v_loss_val;
-        ++value_loss_count;
-        nets.value_opt->Step();
-        if (config_.divergence_guard) {
-          if (!AllFinite(value_params)) {
-            nn::RestoreParameters(value_good, value_params);
-            ++iter_anomalies_;
-            continue;
-          }
-          value_good = nn::SnapshotParameters(value_params);
-        }
+  // Every draw from a shared stream, in the serial order of Algorithm 1
+  // (epoch, then agent, then V_all): the minibatch shuffles from rng_, and
+  // the fault injector's decision for each actor loss.
+  std::vector<std::vector<EpochDraws>> draws(
+      epochs, std::vector<EpochDraws>(num_agents));
+  std::vector<Minibatches> all_batches(epochs);
+  for (int e = 0; e < epochs; ++e) {
+    for (EpochDraws& d : draws[e]) {
+      d.batches = MakeMinibatches(n, config_.minibatch, rng_);
+      for (size_t b = 0; b < d.batches.size(); ++b) {
+        d.poison.push_back(util::FaultInjector::Instance().PoisonLossNow());
       }
     }
-
-    // Line 20: update the overall value network V_all on r_all.
     if (config_.use_copo) {
-      const AdvantageResult adv_all = OverallAdvantages(in, false);
-      for (const std::vector<int>& batch :
-           MakeMinibatches(n, config_.minibatch, rng_)) {
-        nn::Tensor s_b = buffer_.StateBatch(batch);
-        nn::Tensor target(static_cast<int>(batch.size()), 1);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          target(static_cast<int>(i), 0) = adv_all.returns[batch[i]];
-        }
-        value_all_opt_->ZeroGrad();
-        nn::Variable all_loss = nn::MseLoss(value_all_->Forward(s_b), target);
-        all_loss.Backward();
-        if (config_.divergence_guard &&
-            !std::isfinite(all_loss.value()(0, 0))) {
-          ++iter_anomalies_;
-          continue;  // Skip the poisoned minibatch; no step was taken.
-        }
-        value_all_opt_->Step();
-      }
+      all_batches[e] = MakeMinibatches(n, config_.minibatch, rng_);
     }
   }
+
+  // One task per agent group over all of its epochs, and one for V_all.
+  const int groups = AgentGroups();
+  std::vector<std::vector<EpochStats>> stats(
+      epochs, std::vector<EpochStats>(num_agents));
+  int all_anomalies = 0;
+  RunOptimizeTasks(groups + (config_.use_copo ? 1 : 0), [&](int task) {
+    if (task == groups) {
+      for (int e = 0; e < epochs; ++e) {
+        all_anomalies += OverallValueEpoch(in, all_batches[e]);
+      }
+      return;
+    }
+    const auto [first, last] = GroupAgents(task);
+    for (int e = 0; e < epochs; ++e) {
+      for (int k = first; k < last; ++k) {
+        stats[e][k] = AgentPolicyEpoch(k, in, draws[e][k]);
+      }
+    }
+  });
+
+  // Reduce in the serial order (epoch, agent, minibatch), so the double
+  // sums round exactly as they would in one thread.
+  double grad_norm_sum = 0.0, value_loss_sum = 0.0;
+  long grad_norm_count = 0, value_loss_count = 0;
+  for (const std::vector<EpochStats>& epoch : stats) {
+    for (const EpochStats& s : epoch) {
+      for (float norm : s.grad_norms) grad_norm_sum += norm;
+      for (float loss : s.value_losses) value_loss_sum += loss;
+      grad_norm_count += static_cast<long>(s.grad_norms.size());
+      value_loss_count += static_cast<long>(s.value_losses.size());
+      iter_anomalies_ += s.anomalies;
+    }
+  }
+  iter_anomalies_ += all_anomalies;
   return {grad_norm_count > 0
               ? static_cast<float>(grad_norm_sum / grad_norm_count)
               : 0.0f,
@@ -562,114 +639,136 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
               : 0.0f};
 }
 
+int HiMadrlTrainer::AgentLcfEpoch(int k, const OptimizeInputs& in,
+                                  const AgentAdvantages& adv,
+                                  const AdvantageResult& adv_all,
+                                  const Minibatches& batches) {
+  AgentNets& nets = Nets(k);
+  const AgentRollout& r = buffer_.agents[k];
+  int anomalies = 0;
+  for (const std::vector<int>& batch : batches) {
+    const nn::Variable obs_b =
+        nn::Variable::Constant(PackBatch(in.actor[k], batch));
+    const nn::Tensor act_b = r.ActionBatch(batch);
+    std::vector<float> logp_old_b(batch.size()), adv_all_b(batch.size());
+    nn::Tensor w_phi(static_cast<int>(batch.size()), 1);
+    nn::Tensor w_chi(static_cast<int>(batch.size()), 1);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const int idx = batch[i];
+      logp_old_b[i] = r.logp_old[idx];
+      adv_all_b[i] = adv_all.advantages[idx];
+      if (config_.hetero_copo) {
+        w_phi(static_cast<int>(i), 0) = static_cast<float>(
+            CoopAdvantageDPhi(adv.k.advantages[idx], adv.he.advantages[idx],
+                              adv.ho.advantages[idx], lcfs_[k]));
+        w_chi(static_cast<int>(i), 0) = static_cast<float>(
+            CoopAdvantageDChi(adv.k.advantages[idx], adv.he.advantages[idx],
+                              adv.ho.advantages[idx], lcfs_[k]));
+      } else {
+        w_phi(static_cast<int>(i), 0) = static_cast<float>(
+            CoopAdvantagePlainDPhi(adv.k.advantages[idx],
+                                   adv.he.advantages[idx], lcfs_[k]));
+        w_chi(static_cast<int>(i), 0) = 0.0f;
+      }
+    }
+
+    // First factor of Eqn. (30): grad of J_all w.r.t. theta_new (Eqn. 31)
+    // via the clipped surrogate with A_all.
+    {
+      nn::DiagGaussian dist_new = nets.actor->Dist(obs_b);
+      nn::Variable j_all = PpoSurrogate(dist_new.LogProb(act_b), logp_old_b,
+                                        adv_all_b, config_.clip);
+      ZeroGrads(nets.actor->Parameters());
+      j_all.Backward();
+    }
+    const std::vector<nn::Tensor> g_all =
+        SnapshotGrads(nets.actor->Parameters());
+
+    // Second factor (Eqn. 32): alpha * E[grad_theta_old log pi *
+    // dA_CO/dLCF], evaluated on the frozen behavior policy.
+    auto lcf_grad = [&](const nn::Tensor& weights) {
+      {
+        nn::DiagGaussian dist_old = nets.actor_old->Dist(obs_b);
+        nn::Variable weighted =
+            nn::Mean(nn::Mul(dist_old.LogProb(act_b),
+                             nn::Variable::Constant(weights)));
+        ZeroGrads(nets.actor_old->Parameters());
+        weighted.Backward();
+      }
+      return SnapshotGrads(nets.actor_old->Parameters());
+    };
+    const std::vector<nn::Tensor> g_phi = lcf_grad(w_phi);
+    const double norm_all = GradNorm(g_all);
+    const double norm_phi = GradNorm(g_phi);
+    // Normalized meta-gradient (cosine form) for numerical robustness;
+    // the sign and relative magnitude follow Eqn. (30).
+    const double dot_phi =
+        GradDot(g_all, g_phi) / (norm_all * norm_phi + 1e-12);
+    double step_phi = config_.lcf_lr * dot_phi * kRadToDeg *
+                      static_cast<double>(config_.actor_lr);
+    step_phi = std::clamp(step_phi,
+                          -static_cast<double>(config_.max_lcf_step_deg),
+                          static_cast<double>(config_.max_lcf_step_deg));
+    if (config_.divergence_guard && !std::isfinite(step_phi)) {
+      ++anomalies;
+    } else {
+      lcfs_[k].phi_deg += step_phi;
+    }
+    if (config_.hetero_copo) {
+      const std::vector<nn::Tensor> g_chi = lcf_grad(w_chi);
+      const double norm_chi = GradNorm(g_chi);
+      const double dot_chi =
+          GradDot(g_all, g_chi) / (norm_all * norm_chi + 1e-12);
+      double step_chi = config_.lcf_lr * dot_chi * kRadToDeg *
+                        static_cast<double>(config_.actor_lr);
+      step_chi = std::clamp(step_chi,
+                            -static_cast<double>(config_.max_lcf_step_deg),
+                            static_cast<double>(config_.max_lcf_step_deg));
+      if (config_.divergence_guard && !std::isfinite(step_chi)) {
+        ++anomalies;
+      } else {
+        lcfs_[k].chi_deg += step_chi;
+      }
+    }
+    lcfs_[k].ClampToRange();
+  }
+  return anomalies;
+}
+
 void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& in) {
   if (!config_.use_copo || config_.lcf_epochs <= 0) return;
   const int num_agents = env_.num_agents();
   const size_t n = buffer_.size();
 
+  // Shuffles from rng_ in the serial order: epoch, then agent.
+  std::vector<std::vector<Minibatches>> batches(
+      config_.lcf_epochs, std::vector<Minibatches>(num_agents));
+  for (std::vector<Minibatches>& epoch : batches) {
+    for (Minibatches& agent : epoch) {
+      agent = MakeMinibatches(n, config_.minibatch, rng_);
+    }
+  }
+
   // The meta-update changes neither the critics nor the rewards, so the
   // overall advantage A_all (Eqn. 31) and each agent's streams (for
   // dA_CO/d(phi,chi)) are computed once for all lcf_epochs.
   const AdvantageResult adv_all = OverallAdvantages(in, true);
-  std::vector<AgentAdvantages> agent_adv;
-  agent_adv.reserve(num_agents);
-  for (int k = 0; k < num_agents; ++k) {
-    agent_adv.push_back(AdvantagesOf(k, in));
-  }
-
-  for (int m = 0; m < config_.lcf_epochs; ++m) {
-    for (int k = 0; k < num_agents; ++k) {
-      AgentNets& nets = Nets(k);
-      AgentRollout& r = buffer_.agents[k];
-      const AgentAdvantages& adv = agent_adv[k];
-
-      for (const std::vector<int>& batch :
-           MakeMinibatches(n, config_.minibatch, rng_)) {
-        nn::Tensor obs_b = PackBatch(in.actor[k], batch);
-        nn::Tensor act_b = r.ActionBatch(batch);
-        std::vector<float> logp_old_b(batch.size()), adv_all_b(batch.size());
-        nn::Tensor w_phi(static_cast<int>(batch.size()), 1);
-        nn::Tensor w_chi(static_cast<int>(batch.size()), 1);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const int idx = batch[i];
-          logp_old_b[i] = r.logp_old[idx];
-          adv_all_b[i] = adv_all.advantages[idx];
-          if (config_.hetero_copo) {
-            w_phi(static_cast<int>(i), 0) = static_cast<float>(
-                CoopAdvantageDPhi(adv.k.advantages[idx],
-                                  adv.he.advantages[idx],
-                                  adv.ho.advantages[idx], lcfs_[k]));
-            w_chi(static_cast<int>(i), 0) = static_cast<float>(
-                CoopAdvantageDChi(adv.k.advantages[idx],
-                                  adv.he.advantages[idx],
-                                  adv.ho.advantages[idx], lcfs_[k]));
-          } else {
-            w_phi(static_cast<int>(i), 0) =
-                static_cast<float>(CoopAdvantagePlainDPhi(
-                    adv.k.advantages[idx], adv.he.advantages[idx], lcfs_[k]));
-            w_chi(static_cast<int>(i), 0) = 0.0f;
-          }
-        }
-
-        // First factor of Eqn. (30): grad of J_all w.r.t. theta_new
-        // (Eqn. 31) via the clipped surrogate with A_all.
-        nn::DiagGaussian dist_new = nets.actor->Dist(obs_b);
-        nn::Variable j_all = PpoSurrogate(dist_new.LogProb(act_b),
-                                          logp_old_b, adv_all_b,
-                                          config_.clip);
-        ZeroGrads(nets.actor->Parameters());
-        j_all.Backward();
-        const std::vector<nn::Tensor> g_all =
-            SnapshotGrads(nets.actor->Parameters());
-
-        // Second factor (Eqn. 32): alpha * E[grad_theta_old log pi *
-        // dA_CO/dLCF], evaluated on the frozen behavior policy.
-        auto lcf_grad = [&](const nn::Tensor& weights) {
-          nn::DiagGaussian dist_old = nets.actor_old->Dist(obs_b);
-          nn::Variable weighted =
-              nn::Mean(nn::Mul(dist_old.LogProb(act_b),
-                               nn::Variable::Constant(weights)));
-          ZeroGrads(nets.actor_old->Parameters());
-          weighted.Backward();
-          return SnapshotGrads(nets.actor_old->Parameters());
-        };
-        const std::vector<nn::Tensor> g_phi = lcf_grad(w_phi);
-        const double norm_all = GradNorm(g_all);
-        const double norm_phi = GradNorm(g_phi);
-        // Normalized meta-gradient (cosine form) for numerical robustness;
-        // the sign and relative magnitude follow Eqn. (30).
-        const double dot_phi =
-            GradDot(g_all, g_phi) / (norm_all * norm_phi + 1e-12);
-        double step_phi = config_.lcf_lr * dot_phi * kRadToDeg *
-                          static_cast<double>(config_.actor_lr);
-        step_phi = std::clamp(step_phi,
-                              -static_cast<double>(config_.max_lcf_step_deg),
-                              static_cast<double>(config_.max_lcf_step_deg));
-        if (config_.divergence_guard && !std::isfinite(step_phi)) {
-          ++iter_anomalies_;
-        } else {
-          lcfs_[k].phi_deg += step_phi;
-        }
-        if (config_.hetero_copo) {
-          const std::vector<nn::Tensor> g_chi = lcf_grad(w_chi);
-          const double norm_chi = GradNorm(g_chi);
-          const double dot_chi =
-              GradDot(g_all, g_chi) / (norm_all * norm_chi + 1e-12);
-          double step_chi = config_.lcf_lr * dot_chi * kRadToDeg *
-                            static_cast<double>(config_.actor_lr);
-          step_chi = std::clamp(
-              step_chi, -static_cast<double>(config_.max_lcf_step_deg),
-              static_cast<double>(config_.max_lcf_step_deg));
-          if (config_.divergence_guard && !std::isfinite(step_chi)) {
-            ++iter_anomalies_;
-          } else {
-            lcfs_[k].chi_deg += step_chi;
-          }
-        }
-        lcfs_[k].ClampToRange();
+  const int groups = AgentGroups();
+  std::vector<int> anomalies(static_cast<size_t>(groups), 0);
+  RunOptimizeTasks(groups, [&](int g) {
+    const auto [first, last] = GroupAgents(g);
+    std::vector<AgentAdvantages> agent_adv;
+    for (int k = first; k < last; ++k) {
+      agent_adv.push_back(AdvantagesOf(k, in));
+    }
+    for (const std::vector<Minibatches>& epoch : batches) {
+      for (int k = first; k < last; ++k) {
+        anomalies[g] += AgentLcfEpoch(k, in, agent_adv[k - first], adv_all,
+                                      epoch[k]);
       }
     }
-  }
+  });
+  for (int a : anomalies) iter_anomalies_ += a;
 }
 
 void HiMadrlTrainer::Optimize(IterationStats& stats) {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/copo.h"
@@ -18,6 +19,7 @@
 #include "env/sc_env.h"
 #include "nn/optimizer.h"
 #include "util/retry.h"
+#include "util/thread_pool.h"
 
 namespace agsc::core {
 
@@ -163,11 +165,6 @@ struct TrainConfig {
   int worker_max_respawns = 8;
 
   // --- NN compute kernels (process-wide, applied in the ctor) ---
-  /// Worker threads for the blocked GEMM kernels in the optimize phase
-  /// (nn::KernelConfig::nn_threads). 0 = single-threaded. Results are
-  /// bit-identical for every value: the row partitioning never changes an
-  /// output element's accumulation order.
-  int nn_threads = 0;
   /// Use the retained naive reference GEMMs instead of the blocked kernels
   /// (debug / benchmark baseline; bit-identical results, just slower).
   bool nn_naive_kernels = false;
@@ -377,11 +374,18 @@ class HiMadrlTrainer : public Policy {
   /// its own critic pass (SuccessorFallbackRows; empty for every sampler).
   struct OptimizeInputs {
     std::vector<std::vector<std::vector<float>>> actor;   ///< Per agent.
-    std::vector<std::vector<std::vector<float>>> critic;  ///< Per agent.
+    /// Per agent, only when V^k reads the global state (StateCritic);
+    /// otherwise V^k reads the actor's rows.
+    std::vector<std::vector<std::vector<float>>> critic;
     std::vector<std::vector<int>> obs_fallback;  ///< Per agent, on obs.
     std::vector<int> state_fallback;             ///< On the global state.
   };
   OptimizeInputs BuildOptimizeInputs() const;
+  /// V^k's input rows for agent k.
+  const std::vector<std::vector<float>>& CriticRows(
+      const OptimizeInputs& in, int k) const {
+    return StateCritic() ? in.critic[k] : in.actor[k];
+  }
 
   /// Agent k's advantage streams under the current critics (Eqn. 24): r^k
   /// under V^k and, with CoPO, the HE/HO neighbor rewards under V_HE/V_HO.
@@ -396,6 +400,48 @@ class HiMadrlTrainer : public Policy {
   /// Returns {mean actor grad norm, mean value loss}.
   std::pair<float, float> PolicyUpdate(const OptimizeInputs& in);
   void LcfUpdate(const OptimizeInputs& in);
+
+  // Optimize-phase tasks (DESIGN.md, "Optimize-phase tasks"). Without
+  // share_params each agent's networks, optimizers and LCF are touched only
+  // by that agent's updates, and V_all's by no agent's, so PolicyUpdate
+  // runs one task per agent group plus one for V_all, and LcfUpdate one
+  // per group. Everything the serial loop drew from shared streams is drawn
+  // before the tasks start, and their statistics are reduced after the
+  // join in the serial order, so results do not depend on the core count.
+
+  using Minibatches = std::vector<std::vector<int>>;
+  /// One agent's minibatches in one M1 epoch, and the fault injector's
+  /// PoisonLossNow() decision for each of its actor losses.
+  struct EpochDraws {
+    Minibatches batches;
+    std::vector<uint8_t> poison;
+  };
+  /// What one agent's M1 epoch leaves for the ordered reduction.
+  struct EpochStats {
+    std::vector<float> grad_norms;    ///< Per actor step taken.
+    std::vector<float> value_losses;  ///< V^k loss per critic step taken.
+    int anomalies = 0;
+  };
+  /// Agent k's M1 epoch (Eqns. 24-28): actor and critic minibatch steps.
+  EpochStats AgentPolicyEpoch(int k, const OptimizeInputs& in,
+                              const EpochDraws& draws);
+  /// One epoch of V_all on r_all (Line 20); returns its anomalies.
+  int OverallValueEpoch(const OptimizeInputs& in, const Minibatches& batches);
+  /// Agent k's LCF meta-update over one M2 epoch (Eqns. 30-32); returns
+  /// its anomalies.
+  int AgentLcfEpoch(int k, const OptimizeInputs& in,
+                    const AgentAdvantages& adv,
+                    const AdvantageResult& adv_all,
+                    const Minibatches& batches);
+  /// Agents whose updates share state run in one task, in agent order:
+  /// group g is agent g, or every agent under share_params (one group).
+  int AgentGroups() const { return static_cast<int>(nets_.size()); }
+  std::pair<int, int> GroupAgents(int g) const {
+    return config_.share_params ? std::pair{0, env_.num_agents()}
+                                : std::pair{g, g + 1};
+  }
+  /// Runs task(0..count-1) on the optimize pool, creating it on first use.
+  void RunOptimizeTasks(int count, const std::function<void(int)>& task);
 
   /// All persistent network parameters in a stable order (actors, critics,
   /// V_all, i-EOI classifier).
@@ -444,6 +490,8 @@ class HiMadrlTrainer : public Policy {
   bool nn_fallback_ = false;      ///< GEMMs downgraded to the naive kernels.
   bool channel_fallback_ = false; ///< Channel downgraded to the scalar path.
   int last_checkpoint_iter_ = -1; ///< Iteration of the newest auto-ckpt.
+  /// Optimize-phase workers; null until the first optimize phase.
+  std::unique_ptr<util::ThreadPool> optimize_pool_;
 };
 
 }  // namespace agsc::core

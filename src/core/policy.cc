@@ -28,6 +28,10 @@ nn::DiagGaussian GaussianActor::Dist(const nn::Tensor& obs_batch) const {
   return nn::DiagGaussian(mean_net_.Forward(obs_batch), log_std_);
 }
 
+nn::DiagGaussian GaussianActor::Dist(const nn::Variable& obs_batch) const {
+  return nn::DiagGaussian(mean_net_.Forward(obs_batch), log_std_);
+}
+
 std::vector<float> GaussianActor::Act(const std::vector<float>& obs,
                                       util::Rng& rng, bool deterministic,
                                       float* logp) const {
@@ -53,7 +57,7 @@ ValueNet::ValueNet(int input_dim, const NetConfig& config, util::Rng& rng)
     : net_(LayerSizes(input_dim, config.hidden, 1), rng,
            nn::Activation::kTanh, nn::Activation::kNone, 1.0f) {}
 
-nn::Variable ValueNet::Forward(const nn::Tensor& batch) const {
+nn::Variable ValueNet::Forward(const nn::Variable& batch) const {
   return net_.Forward(batch);
 }
 
@@ -67,7 +71,7 @@ std::vector<float> ValueNet::Values(
       batch(static_cast<int>(r), static_cast<int>(c)) = rows[r][c];
     }
   }
-  const nn::Tensor values = net_.Forward(batch).value();
+  const nn::Tensor values = net_.Infer(batch);
   std::vector<float> out(values.rows());
   for (int r = 0; r < values.rows(); ++r) out[r] = values(r, 0);
   return out;

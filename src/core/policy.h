@@ -26,6 +26,9 @@ class GaussianActor : public nn::Module {
   /// Builds the policy distribution for a batch of observations
   /// (differentiable through mean and log_std).
   nn::DiagGaussian Dist(const nn::Tensor& obs_batch) const;
+  /// Dist on an existing graph input, e.g. a constant minibatch node that
+  /// the critics read too, so the batch is not copied once per network.
+  nn::DiagGaussian Dist(const nn::Variable& obs_batch) const;
 
   /// Samples one action for a single observation; outputs the log-prob of
   /// the sample. `deterministic` returns the mode.
@@ -53,9 +56,10 @@ class ValueNet : public nn::Module {
   ValueNet(int input_dim, const NetConfig& config, util::Rng& rng);
 
   /// Differentiable forward pass -> Nx1.
-  nn::Variable Forward(const nn::Tensor& batch) const;
+  nn::Variable Forward(const nn::Variable& batch) const;
 
-  /// Values only (no graph) for a list of feature rows.
+  /// Values only (no graph, through Mlp::Infer) for a list of feature rows;
+  /// bit-identical to Forward on the same rows.
   std::vector<float> Values(const std::vector<std::vector<float>>& rows) const;
 
   std::vector<nn::Variable> Parameters() const override;

@@ -114,11 +114,11 @@ Variable Mlp::Forward(const Tensor& x) const {
 }
 
 Tensor Mlp::Infer(const Tensor& x) const {
-  Tensor h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const bool last = i + 1 == layers_.size();
-    h = layers_[i].Infer(h, last ? output_act_ : hidden_act_);
-  }
+  auto act = [&](size_t i) {
+    return i + 1 == layers_.size() ? output_act_ : hidden_act_;
+  };
+  Tensor h = layers_[0].Infer(x, act(0));
+  for (size_t i = 1; i < layers_.size(); ++i) h = layers_[i].Infer(h, act(i));
   return h;
 }
 

@@ -174,7 +174,18 @@ const char* CheckpointErrorString(CheckpointError error) {
 }
 
 std::string EncodeCheckpoint(const Checkpoint& checkpoint) {
+  // Reserve the exact encoded size, so the image is built in one buffer.
+  size_t size = sizeof(kMagicV2) + sizeof(uint64_t) + 2 * sizeof(uint32_t);
+  for (const CheckpointSection& section : checkpoint.sections) {
+    size += 3 * sizeof(uint32_t) + section.name.size() +
+            sizeof(uint64_t) * section.words.size();
+    for (const Tensor& t : section.tensors) {
+      size += 2 * sizeof(int32_t) +
+              sizeof(float) * static_cast<size_t>(t.size());
+    }
+  }
   std::string out;
+  out.reserve(size);
   AppendBytes(out, kMagicV2, sizeof(kMagicV2));
   AppendScalar(out, checkpoint.fingerprint);
   AppendScalar(out, static_cast<uint32_t>(checkpoint.sections.size()));

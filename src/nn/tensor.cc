@@ -8,14 +8,11 @@
 // enables FMA hardware.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-
-#include "util/thread_pool.h"
 
 namespace agsc::nn {
 
@@ -296,12 +293,11 @@ std::string Tensor::ShapeString() const {
 // ---------------------------------------------------------------------------
 // GEMM kernels
 //
-// Determinism contract: every kernel — naive, blocked (any ISA tier, any
-// tile shape including the MatMul remainder tiles, or a scalar edge), serial
-// or row-partitioned parallel — computes each output element C[i][j]
-// through one accumulation chain in ascending-p order, starting from 0.
-// Nothing ever splits or reorders a chain, so the result bits are identical
-// for every (kernel, tile, thread-count) choice.
+// Determinism contract: every kernel — naive or blocked (any ISA tier, any
+// tile shape including the MatMul remainder tiles, or a scalar edge) —
+// computes each output element C[i][j] through one accumulation chain in
+// ascending-p order, starting from 0. Nothing ever splits or reorders a
+// chain, so the result bits are identical for every (kernel, tile) choice.
 // MatMul / MatMulTransposedA accumulate in float; MatMulTransposedB
 // accumulates each dot product in double, exactly as the naive reference.
 // ---------------------------------------------------------------------------
@@ -860,83 +856,32 @@ void TbRange(GemmIsa isa, const float* a, const float* bt, float* c, int k,
   if (i0 < r1) bands[r1 - i0 - 1](a, bt, c, k, n, ldb, i0);
 }
 
-// --- Kernel configuration + row-partitioned parallel driver ---------------
+// --- Kernel configuration -------------------------------------------------
 
-struct KernelState {
-  std::mutex mu;
-  KernelConfig config;
-  std::unique_ptr<util::ThreadPool> pool;
-};
-
-KernelState& State() {
-  static KernelState state;  // dtor joins any worker pool at exit
-  return state;
-}
-
-struct GemmPlan {
-  GemmKernel gemm;
-  long long min_flops;
-  util::ThreadPool* pool;  // null when nn_threads == 0
-};
-
-GemmPlan CurrentPlan() {
-  KernelState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return {s.config.gemm, s.config.parallel_min_flops, s.pool.get()};
-}
-
-// Runs run_range(r0, r1) over [0, m), split into at most pool->num_threads()
-// contiguous chunks. Chunk boundaries depend only on (m, worker count), and
-// every output element is computed wholly inside one chunk with an unchanged
-// accumulation order — so the result bits are independent of the worker
-// count and of scheduling.
-template <typename RangeFn>
-void RunRows(const GemmPlan& plan, long long flops, int m,
-             const RangeFn& run_range) {
-  util::ThreadPool* pool = plan.pool;
-  if (pool == nullptr || m < 2 || flops < plan.min_flops) {
-    run_range(0, m);
-    return;
-  }
-  const int chunks = std::min(pool->num_threads(), m);
-  const int base = m / chunks;
-  const int rem = m % chunks;
-  pool->ParallelFor(chunks, [&](int chunk) {
-    const int r0 = chunk * base + std::min(chunk, rem);
-    const int r1 = r0 + base + (chunk < rem ? 1 : 0);
-    run_range(r0, r1);
-  });
+// The GEMM choice is read by every product, from any thread; an atomic keeps
+// that read lock-free.
+std::atomic<GemmKernel>& GemmChoice() {
+  static std::atomic<GemmKernel> choice{GemmKernel::kBlocked};
+  return choice;
 }
 
 }  // namespace
 
 void SetKernelConfig(const KernelConfig& config) {
-  KernelState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.config = config;
-  s.config.nn_threads = std::max(0, s.config.nn_threads);
-  s.config.parallel_min_flops = std::max(0LL, s.config.parallel_min_flops);
-  const int have = s.pool ? s.pool->num_threads() : 0;
-  if (have != s.config.nn_threads) {
-    s.pool.reset();  // joins the old workers first
-    if (s.config.nn_threads > 0) {
-      s.pool = std::make_unique<util::ThreadPool>(s.config.nn_threads);
-    }
-  }
+  GemmChoice().store(config.gemm);
 }
 
 KernelConfig GetKernelConfig() {
-  KernelState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.config;
+  KernelConfig config;
+  config.gemm = GemmChoice().load();
+  return config;
 }
 
 namespace {
 
-// Blocked GEMMs at tier `isa`, output rows split as `plan` says. Each checks
-// its shapes; the naive references check their own.
-Tensor RunMatMul(const Tensor& a, const Tensor& b, GemmIsa isa,
-                 const GemmPlan& plan) {
+// Blocked GEMMs at tier `isa`. Each checks its shapes; the naive references
+// check their own.
+Tensor RunMatMul(const Tensor& a, const Tensor& b, GemmIsa isa) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("MatMul: inner dims " + a.ShapeString() +
                                 " vs " + b.ShapeString());
@@ -944,33 +889,23 @@ Tensor RunMatMul(const Tensor& a, const Tensor& b, GemmIsa isa,
   const int m = a.rows(), k = a.cols(), n = b.cols();
   Tensor c(m, n);
   if (m == 0 || n == 0) return c;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
-  RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    MmRange(isa, ap, bp, cp, k, n, r0, r1);
-  });
+  MmRange(isa, a.data(), b.data(), c.data(), k, n, 0, m);
   return c;
 }
 
 // The packed path, kept out of line so the row-at-a-time products do not
-// carry its code and stack frame. B is packed on the calling thread before
-// the rows are split, so every row chunk reads the same copy.
-__attribute__((noinline)) void RunPackedTb(GemmIsa isa, const GemmPlan& plan,
-                                           const float* a, const float* b,
-                                           float* c, int m, int k, int n) {
+// carry its code and stack frame.
+__attribute__((noinline)) void RunPackedTb(GemmIsa isa, const float* a,
+                                           const float* b, float* c, int m,
+                                           int k, int n) {
   const int lanes = TbLanes(isa);
   const int ldb = (n + lanes - 1) / lanes * lanes;
   std::vector<float> bt = PackTransposedB(b, n, k, ldb);
-  const float* btp = bt.data();
-  RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    TbRange(isa, a, btp, c, k, n, ldb, r0, r1);
-  });
+  TbRange(isa, a, bt.data(), c, k, n, ldb, 0, m);
   internal::ReleaseBuffer(std::move(bt));
 }
 
-Tensor RunMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa,
-                            const GemmPlan& plan) {
+Tensor RunMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("MatMulTransposedB: dims " + a.ShapeString() +
                                 " vs " + b.ShapeString());
@@ -978,21 +913,15 @@ Tensor RunMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa,
   const int m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c(m, n);
   if (m == 0 || n == 0) return c;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
   if (m < kTbPackMinRows || n == 1 || k == 0) {
-    RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-      TbRowsRange(isa, ap, bp, cp, k, n, r0, r1);
-    });
+    TbRowsRange(isa, a.data(), b.data(), c.data(), k, n, 0, m);
   } else {
-    RunPackedTb(isa, plan, ap, bp, cp, m, k, n);
+    RunPackedTb(isa, a.data(), b.data(), c.data(), m, k, n);
   }
   return c;
 }
 
-Tensor RunMatMulTransposedA(const Tensor& a, const Tensor& b, GemmIsa isa,
-                            const GemmPlan& plan) {
+Tensor RunMatMulTransposedA(const Tensor& a, const Tensor& b, GemmIsa isa) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("MatMulTransposedA: dims " + a.ShapeString() +
                                 " vs " + b.ShapeString());
@@ -1000,39 +929,29 @@ Tensor RunMatMulTransposedA(const Tensor& a, const Tensor& b, GemmIsa isa,
   const int m = a.cols(), k = a.rows(), n = b.cols();
   Tensor c(m, n);
   if (m == 0 || n == 0) return c;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
-  RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    MtaRange(isa, ap, bp, cp, k, m, n, r0, r1);
-  });
+  MtaRange(isa, a.data(), b.data(), c.data(), k, m, n, 0, m);
   return c;
 }
 
-constexpr GemmPlan kSerialBlocked{GemmKernel::kBlocked, 0, nullptr};
+bool NaiveKernels() {
+  return GemmChoice().load() == GemmKernel::kNaive;
+}
 
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  const GemmPlan plan = CurrentPlan();
-  if (plan.gemm == GemmKernel::kNaive) return internal::NaiveMatMul(a, b);
-  return RunMatMul(a, b, Isa(), plan);
+  if (NaiveKernels()) return internal::NaiveMatMul(a, b);
+  return RunMatMul(a, b, Isa());
 }
 
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
-  const GemmPlan plan = CurrentPlan();
-  if (plan.gemm == GemmKernel::kNaive) {
-    return internal::NaiveMatMulTransposedB(a, b);
-  }
-  return RunMatMulTransposedB(a, b, Isa(), plan);
+  if (NaiveKernels()) return internal::NaiveMatMulTransposedB(a, b);
+  return RunMatMulTransposedB(a, b, Isa());
 }
 
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
-  const GemmPlan plan = CurrentPlan();
-  if (plan.gemm == GemmKernel::kNaive) {
-    return internal::NaiveMatMulTransposedA(a, b);
-  }
-  return RunMatMulTransposedA(a, b, Isa(), plan);
+  if (NaiveKernels()) return internal::NaiveMatMulTransposedA(a, b);
+  return RunMatMulTransposedA(a, b, Isa());
 }
 
 namespace internal {
@@ -1047,19 +966,19 @@ std::vector<GemmIsa> SupportedGemmIsas() {
 
 Tensor BlockedMatMul(const Tensor& a, const Tensor& b, GemmIsa isa) {
   RequireTier(isa);
-  return RunMatMul(a, b, isa, kSerialBlocked);
+  return RunMatMul(a, b, isa);
 }
 
 Tensor BlockedMatMulTransposedB(const Tensor& a, const Tensor& b,
                                 GemmIsa isa) {
   RequireTier(isa);
-  return RunMatMulTransposedB(a, b, isa, kSerialBlocked);
+  return RunMatMulTransposedB(a, b, isa);
 }
 
 Tensor BlockedMatMulTransposedA(const Tensor& a, const Tensor& b,
                                 GemmIsa isa) {
   RequireTier(isa);
-  return RunMatMulTransposedA(a, b, isa, kSerialBlocked);
+  return RunMatMulTransposedA(a, b, isa);
 }
 
 }  // namespace internal

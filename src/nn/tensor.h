@@ -21,24 +21,10 @@ enum class GemmKernel {
 /// Process-wide configuration of the tensor compute kernels.
 struct KernelConfig {
   GemmKernel gemm = GemmKernel::kBlocked;
-
-  /// Worker threads for the row-partitioned parallel GEMM path. 0 disables
-  /// threading (no pool is created). Output rows are split into at most
-  /// `nn_threads` contiguous chunks; each output element is still computed
-  /// wholly by one task in the unchanged accumulation order, so results are
-  /// bit-identical for every value of `nn_threads`.
-  int nn_threads = 0;
-
-  /// Minimum 2*m*k*n flop count before a GEMM is dispatched to the pool;
-  /// smaller products run inline on the caller. Purely a shape function, so
-  /// the inline/parallel decision is deterministic (and irrelevant to the
-  /// result bits either way). Tests set this to 0 to force the pool path.
-  long long parallel_min_flops = 1 << 21;
 };
 
-/// Installs `config` process-wide (thread-safe). Creates or resizes the GEMM
-/// worker pool as needed; `SetKernelConfig` must not be called concurrently
-/// with in-flight GEMMs.
+/// Installs `config` process-wide. Thread-safe: a product already running
+/// finishes with the kernel it started on.
 void SetKernelConfig(const KernelConfig& config);
 
 /// Returns the currently installed configuration.

@@ -62,7 +62,8 @@ void FaultInjector::ReloadFromEnv() {
 
 void FaultInjector::Reset() { set_config(Config{}); }
 
-bool FaultInjector::OnWrite(std::string& bytes) {
+bool FaultInjector::OnWrite(const std::string& bytes,
+                            std::optional<std::string>& corrupted) {
   bool raise_signal = false;
   bool ok = true;
   {
@@ -78,20 +79,32 @@ bool FaultInjector::OnWrite(std::string& bytes) {
     }
     if (ok && config_.mutate_write > 0 &&
         write_count_ == config_.mutate_write) {
+      size_t keep = bytes.size();
       if (config_.truncate_at >= 0 &&
-          static_cast<size_t>(config_.truncate_at) < bytes.size()) {
-        bytes.resize(static_cast<size_t>(config_.truncate_at));
+          static_cast<size_t>(config_.truncate_at) < keep) {
+        keep = static_cast<size_t>(config_.truncate_at);
       }
-      if (config_.flip_byte >= 0 &&
-          static_cast<size_t>(config_.flip_byte) < bytes.size()) {
-        bytes[static_cast<size_t>(config_.flip_byte)] ^=
-            static_cast<char>(0xFF);
+      const bool flip = config_.flip_byte >= 0 &&
+                        static_cast<size_t>(config_.flip_byte) < keep;
+      if (keep < bytes.size() || flip) {
+        corrupted.emplace(bytes, 0, keep);
+        if (flip) {
+          (*corrupted)[static_cast<size_t>(config_.flip_byte)] ^=
+              static_cast<char>(0xFF);
+        }
       }
     }
   }
   // Raise outside the lock: the handler must never observe the injector
   // mid-update, and a longjmp-free handler returning here re-enters I/O.
   if (raise_signal) ::raise(SIGINT);
+  return ok;
+}
+
+bool FaultInjector::OnWrite(std::string& bytes) {
+  std::optional<std::string> corrupted;
+  const bool ok = OnWrite(bytes, corrupted);
+  if (corrupted) bytes = std::move(*corrupted);
   return ok;
 }
 
@@ -190,8 +203,9 @@ int FaultInjector::write_count() const {
 }
 
 bool AtomicWriteFile(const std::string& path, const std::string& bytes) {
-  std::string payload = bytes;
-  if (!FaultInjector::Instance().OnWrite(payload)) return false;
+  std::optional<std::string> corrupted;
+  if (!FaultInjector::Instance().OnWrite(bytes, corrupted)) return false;
+  const std::string& payload = corrupted ? *corrupted : bytes;
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

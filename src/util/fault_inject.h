@@ -2,6 +2,7 @@
 #define AGSC_UTIL_FAULT_INJECT_H_
 
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace agsc::util {
@@ -105,8 +106,8 @@ namespace agsc::util {
 ///
 /// The injector is a process-wide singleton; counters advance across all
 /// call sites so "the Nth write" is well defined for a whole run. All
-/// entry points are thread-safe: checkpoint writes, guarded losses and
-/// worker stalls may run concurrently under --num-workers/--nn-threads.
+/// entry points are thread-safe: checkpoint writes and worker stalls may
+/// run concurrently under --num-workers.
 class FaultInjector {
  public:
   struct Config {
@@ -157,9 +158,15 @@ class FaultInjector {
   void Reset();
 
   /// Called once per AtomicWriteFile with the payload about to be written.
-  /// Advances the write counter; returns false if this write must fail,
-  /// and corrupts `bytes` in place if this write is the mutation target.
-  /// May raise SIGINT first when this write is the signal target.
+  /// Advances the write counter and returns false if this write must fail.
+  /// When this write is the mutation target and its truncation or flip
+  /// applies to `bytes`, `corrupted` receives the mutated copy; otherwise it
+  /// stays empty, so an ordinary write never copies its payload. May raise
+  /// SIGINT first when this write is the signal target.
+  bool OnWrite(const std::string& bytes,
+               std::optional<std::string>& corrupted);
+
+  /// OnWrite that applies the mutation to `bytes` in place.
   bool OnWrite(std::string& bytes);
 
   /// Called once per guarded loss evaluation; returns true if this loss

@@ -1,5 +1,8 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -81,6 +84,38 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void ThreadPool::ParallelForStriped(int n,
+                                    const std::function<void(int)>& fn) {
+  if (n <= 0) return;
+  const int lanes = num_threads() + 1;
+  std::vector<std::exception_ptr> errors(static_cast<size_t>(n));
+  auto run_lane = [&](int lane) {
+    for (int i = lane; i < n; i += lanes) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[static_cast<size_t>(i)] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::future<void>> futures;
+  futures.reserve(static_cast<size_t>(std::min(n, lanes)));
+  try {
+    for (int lane = 1; lane < std::min(n, lanes); ++lane) {
+      futures.push_back(Submit([&run_lane, lane] { run_lane(lane); }));
+    }
+  } catch (...) {
+    // The lanes already handed out reference this frame: let them finish.
+    for (std::future<void>& f : futures) f.wait();
+    throw;
+  }
+  run_lane(0);
+  for (std::future<void>& f : futures) f.get();  // run_lane never throws.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
@@ -166,6 +201,16 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+int AvailableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+  }
+  return std::max(1, CPU_COUNT(&set));
 }
 
 }  // namespace agsc::util

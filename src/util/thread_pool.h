@@ -94,6 +94,15 @@ class ThreadPool {
   void ParallelFor(int n, const std::function<void(int)>& fn,
                    long deadline_ms);
 
+  /// Runs fn(0), ..., fn(n-1) on the calling thread and the workers
+  /// together: unlike ParallelFor, the caller runs tasks instead of only
+  /// waiting. Task i belongs to lane i % (num_threads() + 1), and each lane
+  /// runs its tasks in ascending order on one thread: lane 0 on the calling
+  /// thread, every other lane on whichever worker takes it. Blocks until
+  /// every task finished (a task that throws does not stop its lane); if
+  /// any threw, rethrows the exception of the lowest index.
+  void ParallelForStriped(int n, const std::function<void(int)>& fn);
+
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:
@@ -105,6 +114,10 @@ class ThreadPool {
   std::condition_variable cv_;
   bool shutting_down_ = false;
 };
+
+/// CPUs in the calling thread's affinity mask (at least 1). Threads it
+/// creates inherit the mask, so this is how many of them can run at once.
+int AvailableCpus();
 
 }  // namespace agsc::util
 

@@ -4,15 +4,12 @@
 //    shape sweep that straddles every tile boundary (including empty, 1xN,
 //    Nx1, and non-square shapes) and covers the workloads' own shapes, at
 //    every SIMD tier the CPU supports;
-//  - the row-partitioned parallel path produces the same bits for any
-//    nn_threads value (the determinism contract of KernelConfig);
 //  - the fused graph ops (LinearActivate / AddScaled / SquareScale) match
 //    their unfused op chains bit-for-bit in both values and gradients;
 //  - the thread-local buffer pool makes a steady-state train step O(1) heap
 //    allocations after warm-up;
 //  - a fixed-seed training run writes byte-identical checkpoints under
-//    naive kernels, blocked kernels, and blocked kernels with worker
-//    threads.
+//    naive and blocked kernels.
 
 #include <unistd.h>
 
@@ -171,38 +168,6 @@ TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
                      "MatMulTransposedB cancelling " + tier);
       ExpectBitEqual(nn::internal::BlockedMatMulTransposedA(at, b, isa), ta,
                      "MatMulTransposedA " + tier);
-    }
-  }
-}
-
-TEST(GemmKernelTest, ParallelPathBitIdenticalForAnyThreadCount) {
-  KernelConfigGuard guard;
-  util::Rng rng(99);
-  // parallel_min_flops = 0 forces even tiny products through the pool
-  // dispatch, so this also makes the TSan build exercise the parallel path.
-  for (const GemmShape& s : SweepShapes()) {
-    const Tensor a = RandomTensor(s.m, s.k, rng);
-    const Tensor b = RandomTensor(s.k, s.n, rng);
-    const Tensor at = RandomTensor(s.k, s.m, rng);
-    const Tensor bt = RandomTensor(s.n, s.k, rng);
-
-    std::vector<Tensor> mm, tb, ta;
-    for (int threads : {0, 1, 4}) {
-      KernelConfig config;
-      config.gemm = GemmKernel::kBlocked;
-      config.nn_threads = threads;
-      config.parallel_min_flops = 0;
-      nn::SetKernelConfig(config);
-      mm.push_back(nn::MatMul(a, b));
-      tb.push_back(nn::MatMulTransposedB(a, bt));
-      ta.push_back(nn::MatMulTransposedA(at, b));
-    }
-    const std::string tag = "shape " + std::to_string(s.m) + "x" +
-                            std::to_string(s.k) + "x" + std::to_string(s.n);
-    for (size_t i = 1; i < mm.size(); ++i) {
-      ExpectBitEqual(mm[0], mm[i], "MatMul threads " + tag);
-      ExpectBitEqual(tb[0], tb[i], "MatMulTransposedB threads " + tag);
-      ExpectBitEqual(ta[0], ta[i], "MatMulTransposedA threads " + tag);
     }
   }
 }
@@ -397,27 +362,18 @@ TEST(KernelInvarianceTest, TrainingCheckpointBytesIdenticalAcrossKernels) {
   KernelConfigGuard guard;
   struct Case {
     bool naive;
-    int threads;
     const char* name;
   };
   const Case cases[] = {
-      {true, 0, "naive"},
-      {false, 0, "blocked"},
-      {false, 1, "blocked_t1"},
-      {false, 4, "blocked_t4"},
+      {true, "naive"},
+      {false, "blocked"},
   };
   std::vector<std::string> bytes;
   for (const Case& c : cases) {
     env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
     core::TrainConfig train = SmallTrainConfig();
-    train.nn_threads = c.threads;
     train.nn_naive_kernels = c.naive;
     core::HiMadrlTrainer trainer(env, train);
-    // Force even the tiny test-sized GEMMs through the parallel dispatch so
-    // the threaded cases genuinely run on the pool.
-    KernelConfig kc = nn::GetKernelConfig();
-    kc.parallel_min_flops = 0;
-    nn::SetKernelConfig(kc);
     for (int i = 0; i < train.iterations; ++i) trainer.TrainIteration();
     const std::string path = TempPath(std::string("kinv_") + c.name + ".agsc");
     ASSERT_TRUE(trainer.SaveCheckpoint(path));

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -105,6 +106,54 @@ TEST(ThreadPoolTest, ParallelForRethrowsLowestFailingIndex) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i;
     }
   }
+}
+
+TEST(ThreadPoolTest, ParallelForStripedRunsFixedLanes) {
+  for (int threads : {0, 1, 3}) {
+    util::ThreadPool pool(threads);
+    const int lanes = threads + 1;
+    constexpr int kTasks = 11;
+    std::vector<std::thread::id> ran_on(kTasks);
+    std::vector<int> order;
+    std::mutex mu;
+    pool.ParallelForStriped(kTasks, [&](int i) {
+      ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+    });
+    ASSERT_EQ(order.size(), static_cast<size_t>(kTasks));
+    for (int i = 0; i < kTasks; ++i) {
+      // Lane 0 is the calling thread; each lane is one thread, and a task
+      // shares its thread exactly with the tasks of its own lane.
+      EXPECT_EQ(ran_on[i] == std::this_thread::get_id(), i % lanes == 0);
+      for (int j = 0; j < kTasks; ++j) {
+        if (i % lanes == j % lanes) {
+          EXPECT_EQ(ran_on[i], ran_on[j]);
+        }
+      }
+    }
+    // Within a lane, tasks run in ascending order.
+    std::vector<int> last(static_cast<size_t>(lanes), -1);
+    for (int i : order) {
+      EXPECT_GT(i, last[static_cast<size_t>(i % lanes)]);
+      last[static_cast<size_t>(i % lanes)] = i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForStripedRethrowsLowestFailingIndex) {
+  util::ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  try {
+    pool.ParallelForStriped(9, [&](int i) {
+      ran.fetch_add(1);
+      if (i == 4 || i == 7) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "4");
+  }
+  EXPECT_EQ(ran.load(), 9);  // A failing task does not stop its lane.
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingQueue) {

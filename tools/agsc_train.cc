@@ -9,7 +9,7 @@
 //              [--proc-workers W] [--worker-binary PATH]
 //              [--listen HOST:PORT] [--remote-workers W]
 //              [--port-file FILE]
-//              [--nn-threads T] [--nn-naive] [--env-naive]
+//              [--nn-naive] [--env-naive]
 //              [--env-channel-scalar] [--env-fast-math]
 //              [--save FILE] [--load FILE]
 //              [--checkpoint-dir DIR] [--checkpoint-every N]
@@ -41,10 +41,11 @@
 // the remote analogue of a worker crash: the worker reconnects (or a
 // replacement registers) and the episode shard replays deterministically,
 // so rollouts and checkpoints stay bit-identical to --num-workers W.
-// --nn-threads T parallelizes the large GEMMs of the optimize phase over T
-// workers and --nn-naive falls back to the reference kernels; both are
-// bit-identical to the default blocked single-threaded kernels, so they
-// change throughput only, never the learned parameters.
+// --nn-naive falls back to the reference GEMM kernels: bit-identical to the
+// default blocked kernels, so it changes throughput only, never the learned
+// parameters. The optimize phase runs one task per agent plus one for V_all
+// on up to as many cores as the process may use, with results that do not
+// depend on the core count (so no flag sets it).
 // --env-naive disables the environment's spatial indices and cached road
 // routing, falling back to the linear-scan / per-call-Dijkstra reference
 // paths — also bit-identical, kept as an oracle and debugging aid.
@@ -125,7 +126,6 @@ struct Args {
   std::string listen;
   int remote_workers = 0;
   std::string port_file;
-  int nn_threads = 0;
   bool nn_naive = false;
   bool env_naive = false;
   bool env_channel_scalar = false;
@@ -258,8 +258,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       const char* v = next("--port-file");
       if (!v) return false;
       args.port_file = v;
-    } else if (flag == "--nn-threads") {
-      if (!next_int("--nn-threads", 0, 1024, &args.nn_threads)) return false;
     } else if (flag == "--nn-naive") {
       args.nn_naive = true;
     } else if (flag == "--env-naive") {
@@ -370,8 +368,8 @@ void PrintUsage(std::ostream& out) {
          "  [--plain-copo] [--mappo] [--seed S] [--eval N]\n"
          "  [--num-workers W] [--proc-workers W] [--worker-binary PATH]\n"
          "  [--listen HOST:PORT] [--remote-workers W] [--port-file FILE]\n"
-         "  [--nn-threads T] [--nn-naive]\n"
-         "  [--env-naive] [--env-channel-scalar] [--env-fast-math]\n"
+         "  [--nn-naive] [--env-naive] [--env-channel-scalar]\n"
+         "  [--env-fast-math]\n"
          "  [--save FILE] [--load FILE]\n"
          "  [--checkpoint-dir DIR] [--checkpoint-every N]\n"
          "  [--checkpoint-keep K] [--resume]\n"
@@ -506,7 +504,6 @@ int main(int argc, char** argv) {
     train.proc_workers = args.remote_workers;
     train.listen_address = args.listen;
   }
-  train.nn_threads = args.nn_threads;
   train.nn_naive_kernels = args.nn_naive;
   train.verbose = !args.quiet;
   train.checkpoint_dir = args.checkpoint_dir;

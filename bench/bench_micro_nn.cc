@@ -1,8 +1,8 @@
 // Microbenchmarks of the neural substrate: matmul throughput across the
-// kernel configurations, MLP forward/backward, Adam steps, GRU steps, the
-// i-EOI classifier update, and an end-to-end PPO optimize phase. These
-// bound the wall-clock cost of one training iteration and back the numbers
-// checked into BENCH_nn.json.
+// kernel configurations, tanh against libm at each ISA tier, MLP
+// forward/backward, Adam steps, GRU steps, the i-EOI classifier update, and
+// an end-to-end PPO optimize phase. These bound the wall-clock cost of one
+// training iteration and back the numbers checked into BENCH_nn.json.
 //
 // GEMM benchmarks take a second argument selecting the kernel mode:
 //   0 = naive reference, 1 = blocked.
@@ -12,6 +12,9 @@
 // as the process may use.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <cstring>
 
 #include "core/eoi.h"
 #include "core/hi_madrl.h"
@@ -194,6 +197,37 @@ void BM_MlpForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpForwardBackward)->Arg(64)->Arg(256);
+
+void BM_Tanh(benchmark::State& state) {
+  // 256 x 128 hidden-layer activations of one minibatch. Arg 0 runs the
+  // std::tanh loop the lane-wise kernel replaced, arg t + 1 the kernel at
+  // ISA tier t (both bit-identical; the kernel's time includes copying its
+  // input into place).
+  const int arg = static_cast<int>(state.range(0));
+  const std::vector<nn::internal::GemmIsa> tiers =
+      nn::internal::SupportedGemmIsas();
+  if (arg > static_cast<int>(tiers.size())) {
+    state.SkipWithError("ISA tier not supported by this CPU");
+    return;
+  }
+  state.SetLabel(arg == 0 ? "std::tanh"
+                          : nn::internal::GemmIsaName(tiers[arg - 1]));
+  util::Rng rng(7);
+  const nn::Tensor x = nn::Tensor::Randn(256, 128, rng, 1.5f);
+  nn::Tensor y(256, 128);
+  for (auto _ : state) {
+    if (arg == 0) {
+      for (int i = 0; i < x.size(); ++i) y[i] = std::tanh(x[i]);
+    } else {
+      std::memcpy(y.data(), x.data(), x.size() * sizeof(float));
+      nn::internal::TanhInPlaceAtTier(y.data(), y.size(), tiers[arg - 1]);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_Tanh)->DenseRange(0, 3);
 
 void BM_AdamStep(benchmark::State& state) {
   util::Rng rng(4);

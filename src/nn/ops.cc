@@ -181,16 +181,14 @@ Variable MulRowVector(const Variable& m, const Variable& v) {
 
 namespace {
 
-/// Shared helper for elementwise unary ops where d(out)/d(in) can be written
-/// as a function of (input, output). Templated on the callables so the
-/// forward loop inlines and the backward closure is a capture of one empty
-/// functor — small enough for std::function's inline storage, so building a
-/// unary node performs no heap allocation beyond the node itself.
-template <typename Fwd, typename DydxFromXY>
-Variable UnaryOp(const char* name, const Variable& a, Fwd fwd,
-                 DydxFromXY dydx_from_x_y) {
-  Tensor out = a.value();
-  for (int i = 0; i < out.size(); ++i) out[i] = fwd(out[i]);
+/// Node of an elementwise unary op with forward value `out`, where
+/// d(out)/d(in) can be written as a function of (input, output). Templated
+/// on the callable so the backward closure is a capture of one empty functor
+/// — small enough for std::function's inline storage, so building a unary
+/// node performs no heap allocation beyond the node itself.
+template <typename DydxFromXY>
+Variable UnaryNode(const char* name, const Variable& a, Tensor out,
+                   DydxFromXY dydx_from_x_y) {
   return Variable::FromNode(
       MakeNode(name, std::move(out), {a}, [dydx_from_x_y](Node& n) {
         const auto& pa = n.parents[0];
@@ -201,6 +199,16 @@ Variable UnaryOp(const char* name, const Variable& a, Fwd fwd,
         }
         Accumulate(pa, d);
       }));
+}
+
+/// UnaryNode with the forward value computed element by element by `fwd`,
+/// which inlines into the loop.
+template <typename Fwd, typename DydxFromXY>
+Variable UnaryOp(const char* name, const Variable& a, Fwd fwd,
+                 DydxFromXY dydx_from_x_y) {
+  Tensor out = a.value();
+  for (int i = 0; i < out.size(); ++i) out[i] = fwd(out[i]);
+  return UnaryNode(name, a, std::move(out), dydx_from_x_y);
 }
 
 }  // namespace
@@ -216,8 +224,10 @@ Variable Log(const Variable& a) {
 }
 
 Variable Tanh(const Variable& a) {
-  return UnaryOp("tanh", a, [](float x) { return std::tanh(x); },
-                 [](float, float y) { return 1.0f - y * y; });
+  Tensor out = a.value();
+  TanhInPlace(out.data(), out.size());
+  return UnaryNode("tanh", a, std::move(out),
+                   [](float, float y) { return 1.0f - y * y; });
 }
 
 Variable Relu(const Variable& a) {
@@ -487,16 +497,6 @@ Variable MseLoss(const Variable& pred, const Tensor& target) {
 
 namespace {
 
-float ApplyActivation(Activation act, float x) {
-  switch (act) {
-    case Activation::kNone: return x;
-    case Activation::kRelu: return x > 0.0f ? x : 0.0f;
-    case Activation::kTanh: return std::tanh(x);
-    case Activation::kSigmoid: return 1.0f / (1.0f + std::exp(-x));
-  }
-  throw std::logic_error("unknown activation");
-}
-
 // d(act)/dx expressed from the post-activation value y. Matches the
 // unfused ops exactly: tanh and sigmoid already differentiate from y, and
 // for relu the y > 0 test is equivalent to the x > 0 test (y == x when
@@ -527,10 +527,19 @@ Tensor LinearActivateValue(const Tensor& m, const Tensor& w, const Tensor& b,
   for (int r = 0; r < out.rows(); ++r) {
     for (int c = 0; c < out.cols(); ++c) out(r, c) += b(0, c);
   }
-  if (act != Activation::kNone) {
-    for (int i = 0; i < out.size(); ++i) {
-      out[i] = ApplyActivation(act, out[i]);
-    }
+  switch (act) {
+    case Activation::kNone: break;
+    case Activation::kRelu:
+      for (int i = 0; i < out.size(); ++i) {
+        out[i] = out[i] > 0.0f ? out[i] : 0.0f;
+      }
+      break;
+    case Activation::kTanh: TanhInPlace(out.data(), out.size()); break;
+    case Activation::kSigmoid:
+      for (int i = 0; i < out.size(); ++i) {
+        out[i] = 1.0f / (1.0f + std::exp(-out[i]));
+      }
+      break;
   }
   return out;
 }

@@ -51,17 +51,23 @@ void Adam::Step() {
       1.0f - std::pow(beta1_, static_cast<float>(step_count_));
   const float bc2 =
       1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+  // Locals and restrict pointers let gcc run the loop in vector lanes (this
+  // file builds with -fno-math-errno, so sqrt is an instruction). Every lane
+  // performs the scalar loop's correctly rounded operations in its order,
+  // so the result bits do not change.
+  const float beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
   for (size_t k = 0; k < params_.size(); ++k) {
-    Tensor& value = params_[k].mutable_value();
-    const Tensor& g = params_[k].grad();
-    Tensor& m = m_[k];
-    Tensor& v = v_[k];
-    for (int i = 0; i < value.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
+    float* __restrict value = params_[k].mutable_value().data();
+    const float* __restrict g = params_[k].grad().data();
+    float* __restrict m = m_[k].data();
+    float* __restrict v = v_[k].data();
+    const int n = m_[k].size();
+    for (int i = 0; i < n; ++i) {
+      m[i] = beta1 * m[i] + (1.0f - beta1) * g[i];
+      v[i] = beta2 * v[i] + (1.0f - beta2) * g[i] * g[i];
       const float mhat = m[i] / bc1;
       const float vhat = v[i] / bc2;
-      value[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

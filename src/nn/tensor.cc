@@ -11,6 +11,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -395,14 +396,20 @@ void RequireTier(GemmIsa isa) {
 
 }  // namespace
 
-const char* ActiveGemmIsaName() {
-  switch (Isa()) {
+const char* ActiveGemmIsaName() { return internal::GemmIsaName(Isa()); }
+
+namespace internal {
+
+const char* GemmIsaName(GemmIsa isa) {
+  switch (isa) {
     case GemmIsa::kAvx512: return "avx512";
     case GemmIsa::kAvx2: return "avx2";
     case GemmIsa::kGeneric: return "generic";
   }
   return "generic";
 }
+
+}  // namespace internal
 
 namespace {
 
@@ -954,7 +961,160 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   return RunMatMulTransposedA(a, b, Isa());
 }
 
+// ---------------------------------------------------------------------------
+// tanh in lanes
+//
+// A lane-wise transcription of fdlibm's tanhf and of the expm1f it calls, as
+// glibc 2.36 ships them (sysdeps/ieee754/flt-32/s_tanhf.c, s_expm1f.c). Each
+// lane performs the scalar code's IEEE float operations on its input, in its
+// order, each rounded once; this file never contracts them into FMAs. Where
+// the scalar code branches, every lane computes each arm and a select keeps
+// the one the scalar code takes. So every tier returns glibc's tanhf bits
+// for every input (DESIGN item 17 lists the arms tanh never reaches).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr float FloatBits(std::uint32_t bits) {
+  return std::bit_cast<float>(bits);
+}
+
+// expm1f's constants, by bit pattern.
+constexpr float kLn2Hi = FloatBits(0x3f317180u);
+constexpr float kLn2Lo = FloatBits(0x3717f7d1u);
+constexpr float kInvLn2 = FloatBits(0x3fb8aa3bu);
+constexpr float kQ1 = FloatBits(0xbd088889u);
+constexpr float kQ2 = FloatBits(0x3ad00d01u);
+constexpr float kQ3 = FloatBits(0xb8a670cdu);
+constexpr float kQ4 = FloatBits(0x36867e54u);
+constexpr float kQ5 = FloatBits(0xb457edbbu);
+
+// x = tanhf(x) in each lane. F holds the floats, I and U the same lanes as
+// signed and unsigned 32-bit words; casts between them reinterpret bits.
+template <typename F, typename I, typename U>
+__attribute__((always_inline)) inline void TanhLanes(F& x) {
+  const F one = F{} + 1.0f, two = F{} + 2.0f;
+  const U sign = (U)x & 0x80000000u;
+  const F ax = (F)((U)x & 0x7fffffffu);
+  // tanhf returns +-1 from |x| >= 22 on, infinities included. Clamped to 22,
+  // those lanes take the |x| >= 1 arm below, which rounds to exactly 1 there.
+  // NaN lanes fail the compare too; they are replaced at the end.
+  const F a = ax < 22.0f ? ax : F{} + 22.0f;
+  const I big = a >= 1.0f;  // tanhf's expm1f(2|x|) arm, else expm1f(-2|x|)
+  const F u = a * (big ? two : -two);
+
+  // expm1f(u) for u in [-2, 44]. Reduce u = k ln2 + r - c: k = 0 for
+  // |u| <= ln2 / 2, k = -1 from there to 3 ln2 / 2 (u < 0 there), else
+  // u / ln2 rounded. With k = 0 the same operations leave r = u.
+  const I hu = (I)((U)u & 0x7fffffffu);
+  const F half = (I)u < 0 ? F{} - 0.5f : F{} + 0.5f;
+  const I nearest = __builtin_convertvector(kInvLn2 * u + half, I);
+  const I k = hu > 0x3eb17218 ? (hu < 0x3f851592 ? I{} - 1 : nearest)
+                              : I{};
+  const F kf = __builtin_convertvector(k, F);
+  const F hi = u - kf * kLn2Hi;  // exact
+  const F lo = kf * kLn2Lo;
+  const F r = hi - lo;
+  const F c = (hi - r) - lo;
+
+  const F hfx = 0.5f * r;
+  const F hxs = r * hfx;
+  const F r1 =
+      one + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const F t = 3.0f - r1 * hfx;
+  const F e = hxs * ((r1 - t) / (6.0f - r * t));
+  const F at_k0 = r - (r * e - hxs);
+  const F ek = (r * (e - c) - c) - hxs;
+  const F at_km1 = 0.5f * (r - ek) - 0.5f;
+  // The other k scale y by 2^k through its exponent field: y is
+  // exp(r - c) - 2^-k, or exp(r - c) for k <= -2 and k > 56, which
+  // subtract 1 after scaling.
+  const F two_mk = (F)((U)(127 - k) << 23);
+  const I wide = (U)(k + 1) > 57u;  // k <= -2 or k > 56
+  const F y_low = (wide ? one : one - two_mk) - (ek - r);
+  const F y_high = (r - (ek + two_mk)) + one;
+  const F y = (U)(k - 23) <= 33u ? y_high : y_low;  // 23 <= k <= 56
+  const F scaled = (F)((U)y + ((U)k << 23));
+  const F at_k = wide ? scaled - one : scaled;
+  const F expm1 = hu < 0x33000000 ? u  // |u| < 2^-25 returns u
+                  : k == 0        ? at_k0
+                  : k == -1       ? at_km1
+                                  : at_k;
+
+  // tanhf with t = expm1f(u): 1 - 2 / (t + 2) for |x| >= 1, else
+  // -t / (t + 2), both >= +0, then the sign of x. Its |x| < 2^-55 arm
+  // returns x * (1 + x) == x, which the second quotient also gives there:
+  // t == -2|x| and t + 2 == 2.
+  const F q = (big ? two : -expm1) / (expm1 + two);
+  const F z = big ? one - q : q;
+  const F tanh = (F)((U)z | sign);
+  x = x != x ? x + x : tanh;  // NaN: tanhf's 1/x +- 1 is x + x's bits
+}
+
+template <typename F, typename I, typename U>
+__attribute__((always_inline)) inline void TanhSpan(float* data,
+                                                    std::size_t n) {
+  constexpr std::size_t kLanes = sizeof(F) / sizeof(float);
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    F x;
+    std::memcpy(&x, data + i, sizeof(F));
+    TanhLanes<F, I, U>(x);
+    std::memcpy(data + i, &x, sizeof(F));
+  }
+  if (i < n) {  // the tail runs in a zero-padded vector
+    F x{};
+    std::memcpy(&x, data + i, (n - i) * sizeof(float));
+    TanhLanes<F, I, U>(x);
+    std::memcpy(data + i, &x, (n - i) * sizeof(float));
+  }
+}
+
+typedef float TanhF4 __attribute__((vector_size(4 * sizeof(float))));
+typedef std::int32_t TanhI4 __attribute__((vector_size(4 * sizeof(float))));
+typedef std::uint32_t TanhU4 __attribute__((vector_size(4 * sizeof(float))));
+
+void TanhGeneric(float* data, std::size_t n) {
+  TanhSpan<TanhF4, TanhI4, TanhU4>(data, n);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+typedef float TanhF8 __attribute__((vector_size(8 * sizeof(float))));
+typedef std::int32_t TanhI8 __attribute__((vector_size(8 * sizeof(float))));
+typedef std::uint32_t TanhU8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float TanhF16 __attribute__((vector_size(16 * sizeof(float))));
+typedef std::int32_t TanhI16 __attribute__((vector_size(16 * sizeof(float))));
+typedef std::uint32_t TanhU16
+    __attribute__((vector_size(16 * sizeof(float))));
+
+__attribute__((target("avx2"))) void TanhAvx2(float* data, std::size_t n) {
+  TanhSpan<TanhF8, TanhI8, TanhU8>(data, n);
+}
+
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
+TanhAvx512(float* data, std::size_t n) {
+  TanhSpan<TanhF16, TanhI16, TanhU16>(data, n);
+}
+#endif  // x86
+
+void RunTanh([[maybe_unused]] GemmIsa isa, float* data, std::size_t n) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (isa == GemmIsa::kAvx512) return TanhAvx512(data, n);
+  if (isa == GemmIsa::kAvx2) return TanhAvx2(data, n);
+#endif
+  TanhGeneric(data, n);
+}
+
+}  // namespace
+
+void TanhInPlace(float* data, std::size_t n) { RunTanh(Isa(), data, n); }
+
 namespace internal {
+
+void TanhInPlaceAtTier(float* data, std::size_t n, GemmIsa isa) {
+  RequireTier(isa);
+  RunTanh(isa, data, n);
+}
 
 std::vector<GemmIsa> SupportedGemmIsas() {
   std::vector<GemmIsa> tiers;

@@ -155,6 +155,11 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 /// C = A^T * B without materializing the transpose.
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// Replaces each of the n floats at `data` by its tanh, in vector lanes of
+/// the GEMM's ISA tier. Every result has the bits of glibc 2.36's
+/// std::tanh(float), at every tier (DESIGN item 17).
+void TanhInPlace(float* data, std::size_t n);
+
 namespace internal {
 
 /// Reference GEMMs, kept verbatim (minus the NaN-swallowing zero-skip) as the
@@ -171,12 +176,18 @@ enum class GemmIsa { kGeneric, kAvx2, kAvx512 };
 /// Every tier this CPU can run, lowest first; always starts with kGeneric.
 std::vector<GemmIsa> SupportedGemmIsas();
 
+/// "generic", "avx2" or "avx512".
+const char* GemmIsaName(GemmIsa isa);
+
 /// The blocked kernels run serially at a forced tier, so the bit-exactness
 /// sweep covers the tiers below the one MatMul dispatches to. Throws
 /// std::invalid_argument for a tier this CPU cannot run.
 Tensor BlockedMatMul(const Tensor& a, const Tensor& b, GemmIsa isa);
 Tensor BlockedMatMulTransposedB(const Tensor& a, const Tensor& b, GemmIsa isa);
 Tensor BlockedMatMulTransposedA(const Tensor& a, const Tensor& b, GemmIsa isa);
+
+/// TanhInPlace at a forced tier, for the same sweep.
+void TanhInPlaceAtTier(float* data, std::size_t n, GemmIsa isa);
 
 /// Per-thread buffer-pool counters (for this calling thread).
 struct BufferPoolStats {

@@ -7,21 +7,23 @@
 # re-set their labels with proper quoting.
 #
 # ctest's testfile interpreter has no set_property(TEST ... APPEND), only
-# set_tests_properties, so every row states a test's full label list, and a
-# later matching row overwrites an earlier one: the overload rows come after
-# the serving row they extend.
+# set_tests_properties, so every row states a test's full label list. ctest
+# adds the labels to those the test already has (from gtest discovery or an
+# earlier row), so a row can add labels but never remove one.
 #
 # One row per (suite, test-name regex, labels); labels are comma-separated.
-set(_agsc_kernel_tests "^(GemmKernelTest|KernelInvarianceTest|Crc32Test)\\.")
+set(_agsc_kernel_tests
+    "^(GemmKernelTest|KernelInvarianceTest|Crc32Test|AdamTest)\\.")
 set(_agsc_overload_tests "Overload|Fairness|Admission|Quarantine|Flood|Shed|Brownout|Health|PublishRejectAccounting|CancelClient")
 set(_agsc_label_rows
   # Soak campaign: `ctest -L serving`.
   serving_soak_test    "."                       "slow,serving"
   # Socket edge cases: `ctest -L net`.
   net_test             "."                       "fast,net"
-  # GEMM tier sweep, byte-identical checkpoints across kernels, CRC-32:
-  # `ctest -L kernel`.
+  # GEMM tier sweep, tanh and Adam at every tier, byte-identical
+  # checkpoints across kernels, CRC-32: `ctest -L kernel`.
   nn_kernel_test       "${_agsc_kernel_tests}"   "fast,kernel"
+  tanh_kernel_test     "^TanhKernelTest\\.Stratified" "fast,kernel"
   util_test            "${_agsc_kernel_tests}"   "fast,kernel"
   # Admission, fairness, brownout and quarantine: `ctest -L overload`.
   dispatch_server_test "${_agsc_overload_tests}" "fast,overload"

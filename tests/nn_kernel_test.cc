@@ -8,12 +8,15 @@
 //    their unfused op chains bit-for-bit in both values and gradients;
 //  - the thread-local buffer pool makes a steady-state train step O(1) heap
 //    allocations after warm-up;
+//  - the vectorized Adam step matches the scalar loop bit-for-bit;
 //  - a fixed-seed training run writes byte-identical checkpoints under
 //    naive and blocked kernels.
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -37,6 +40,7 @@ namespace {
 
 using nn::Activation;
 using nn::GemmKernel;
+using nn::internal::GemmIsaName;
 using nn::KernelConfig;
 using nn::Tensor;
 using nn::Variable;
@@ -120,22 +124,13 @@ const std::vector<GemmShape>& SweepShapes() {
   return shapes;
 }
 
-const char* TierName(nn::internal::GemmIsa isa) {
-  switch (isa) {
-    case nn::internal::GemmIsa::kGeneric: return "generic";
-    case nn::internal::GemmIsa::kAvx2: return "avx2";
-    case nn::internal::GemmIsa::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
 TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
   // Every tier the CPU supports, not just the one MatMul dispatches to, so
   // the generic and AVX2 tiles are checked on an AVX-512 host too.
   const std::vector<nn::internal::GemmIsa> tiers =
       nn::internal::SupportedGemmIsas();
   ASSERT_EQ(tiers.front(), nn::internal::GemmIsa::kGeneric);
-  ASSERT_STREQ(TierName(tiers.back()), nn::ActiveGemmIsaName());
+  ASSERT_STREQ(GemmIsaName(tiers.back()), nn::ActiveGemmIsaName());
   KernelConfigGuard guard;
   nn::SetKernelConfig(KernelConfig{});  // Blocked, serial.
   util::Rng rng(1234);
@@ -159,7 +154,7 @@ TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
     ExpectBitEqual(nn::MatMulTransposedA(at, b), ta,
                    "MatMulTransposedA " + tag);
     for (nn::internal::GemmIsa isa : tiers) {
-      const std::string tier = tag + " tier " + TierName(isa);
+      const std::string tier = tag + " tier " + GemmIsaName(isa);
       ExpectBitEqual(nn::internal::BlockedMatMul(a, b, isa), mm,
                      "MatMul " + tier);
       ExpectBitEqual(nn::internal::BlockedMatMulTransposedB(a, bt, isa), tb,
@@ -286,7 +281,7 @@ TEST(BufferPoolTest, TrainStepIsAllocationFreeAfterWarmup) {
     GTEST_SKIP() << "buffer pool compiled out (sanitizer build)";
   }
   KernelConfigGuard guard;
-  KernelConfig config;  // Blocked kernels, no threads: single-thread pool.
+  KernelConfig config;  // Blocked kernels.
   nn::SetKernelConfig(config);
 
   util::Rng rng(42);
@@ -314,7 +309,61 @@ TEST(BufferPoolTest, TrainStepIsAllocationFreeAfterWarmup) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: kernel choice and thread count never change training results.
+// Adam: the vectorized step keeps the scalar loop's bits.
+// ---------------------------------------------------------------------------
+
+TEST(AdamTest, StepMatchesScalarReference) {
+  constexpr float kLr = 3e-4f, kBeta1 = 0.9f, kBeta2 = 0.999f, kEps = 1e-8f;
+  util::Rng rng(23);
+  std::vector<Variable> params;
+  // One size below every lane count, an odd one, and two with tails.
+  for (int n : {1, 3, 17, 1025}) {
+    params.push_back(Variable::Parameter(RandomTensor(1, n, rng)));
+  }
+  nn::Adam adam(params, kLr, kBeta1, kBeta2, kEps);
+  std::vector<Tensor> value, m, v;
+  for (const Variable& p : params) {
+    value.push_back(p.value());
+    m.emplace_back(p.rows(), p.cols());
+    v.emplace_back(p.rows(), p.cols());
+  }
+  for (int step = 1; step <= 6; ++step) {
+    for (Variable& p : params) {
+      p.grad() = RandomTensor(p.rows(), p.cols(), rng);
+      p.grad().Scale(step % 3 == 0 ? 1e-6f : 1.0f);  // tiny v: eps matters
+    }
+    adam.Step();
+    // The scalar loop the vectorized step replaced.
+    const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(step));
+    const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(step));
+    for (size_t k = 0; k < params.size(); ++k) {
+      const Tensor& g = params[k].grad();
+      for (int i = 0; i < g.size(); ++i) {
+        m[k][i] = kBeta1 * m[k][i] + (1.0f - kBeta1) * g[i];
+        v[k][i] = kBeta2 * v[k][i] + (1.0f - kBeta2) * g[i] * g[i];
+        const float mhat = m[k][i] / bc1;
+        const float vhat = v[k][i] / bc2;
+        value[k][i] -= kLr * mhat / (std::sqrt(vhat) + kEps);
+      }
+    }
+    const nn::Adam::State state = adam.ExportState();
+    for (size_t k = 0; k < params.size(); ++k) {
+      SCOPED_TRACE("step " + std::to_string(step) + ", size " +
+                   std::to_string(m[k].size()));
+      for (int i = 0; i < m[k].size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(params[k].value()[i]),
+                  std::bit_cast<uint32_t>(value[k][i])) << "value " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(state.m[k][i]),
+                  std::bit_cast<uint32_t>(m[k][i])) << "m " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(state.v[k][i]),
+                  std::bit_cast<uint32_t>(v[k][i])) << "v " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end: the kernel choice never changes training results.
 // ---------------------------------------------------------------------------
 
 const map::Dataset& SmallDataset() {

@@ -1,5 +1,6 @@
 #include "bench/bench_common.h"
 
+#include <ctime>
 #include <iostream>
 #include <map>
 
@@ -166,6 +167,15 @@ TrainedHiMadrl TrainHiMadrlVariant(const env::EnvConfig& config,
   (void)settings;
   out.trainer->Train();
   return out;
+}
+
+std::string UtcDate() {
+  const std::time_t now = std::time(nullptr);
+  std::tm utc{};
+  gmtime_r(&now, &utc);
+  char date[16];
+  std::strftime(date, sizeof(date), "%Y-%m-%d", &utc);
+  return date;
 }
 
 std::string OutDir() {

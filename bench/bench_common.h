@@ -84,6 +84,9 @@ TrainedHiMadrl TrainHiMadrlVariant(const env::EnvConfig& config,
 /// Output directory for CSV dumps ("bench_out", created on demand).
 std::string OutDir();
 
+/// Today's UTC date as YYYY-MM-DD, for the "date" field of BENCH_*.json.
+std::string UtcDate();
+
 /// Shared driver for the paper's figure-style sweeps (Figs. 3-10): for each
 /// campus and each sweep value, runs all six methods and reports the five
 /// metrics as per-metric tables (rows = methods, columns = sweep values),

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <ctime>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -79,15 +78,6 @@ Result MeasureWorkers(const bench::Settings& settings, int num_workers,
   return r;
 }
 
-std::string UtcDate() {
-  const std::time_t now = std::time(nullptr);
-  std::tm utc{};
-  gmtime_r(&now, &utc);
-  char date[16];
-  std::strftime(date, sizeof(date), "%Y-%m-%d", &utc);
-  return date;
-}
-
 }  // namespace
 }  // namespace agsc
 
@@ -123,7 +113,7 @@ int main() {
 
   std::cout << "{\n"
             << "  \"bench\": \"bench_rollout_throughput\",\n"
-            << "  \"date\": \"" << UtcDate() << "\",\n"
+            << "  \"date\": \"" << bench::UtcDate() << "\",\n"
             << "  \"build\": \""
             << util::BuildInfoString(std::string("gemm-isa=") +
                                      nn::ActiveGemmIsaName())

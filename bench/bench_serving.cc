@@ -42,6 +42,8 @@
 #include "core/policy_snapshot.h"
 #include "core/serve_protocol.h"
 #include "env/sc_env.h"
+#include "nn/tensor.h"
+#include "util/build_info.h"
 #include "util/table.h"
 
 namespace agsc {
@@ -375,7 +377,13 @@ int main(int argc, char** argv) {
   sweep_table.Print();
 
   // Machine-readable block (copied into BENCH_serving.json).
-  std::cout << "{\n  \"hardware_concurrency\": "
+  std::cout << "{\n  \"bench\": \"bench_serving\""
+            << ",\n  \"date\": \"" << bench::UtcDate() << "\""
+            << ",\n  \"build\": \""
+            << util::BuildInfoString(std::string("gemm-isa=") +
+                                     nn::ActiveGemmIsaName())
+            << "\""
+            << ",\n  \"hardware_concurrency\": "
             << std::thread::hardware_concurrency()
             << ",\n  \"budget_sec\": " << budget_sec
             << ",\n  \"timeslots\": " << env_config.num_timeslots

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -303,66 +304,96 @@ void ServeFrontend::AcceptLoop() {
   }
 }
 
+bool ServeFrontend::Submit(const util::Frame& frame, uint64_t client,
+                           PendingReply& reply) {
+  if (frame.type == kSrvMsgActRequest) {
+    ServeActRequest req;
+    if (!DecodeServeActRequest(frame.payload, req)) return false;
+    RequestOptions opts;
+    opts.client = client;
+    opts.priority = req.priority;
+    reply.future = server_.ActAsync(req.agent, req.obs, opts);
+    return true;
+  }
+  if (frame.type == kSrvMsgStepRequest) {
+    ServeStepRequest req;
+    if (!DecodeServeStepRequest(frame.payload, req)) return false;
+    RequestOptions opts;
+    opts.client = client;
+    opts.priority = req.priority;
+    reply.future = server_.StepSessionAsync(req.session, opts);
+    return true;
+  }
+  if (frame.type == kSrvMsgHealthRequest) {
+    // Health never enters the admission queue — it must answer precisely
+    // when the queue is the problem. It still takes its FIFO slot in this
+    // connection's response order.
+    if (!DecodeServeHealthRequest(frame.payload)) return false;
+    reply.is_health = true;
+    reply.health_payload = EncodeServeHealthResponse(server_.Health());
+    return true;
+  }
+  return false;
+}
+
 void ServeFrontend::ReaderLoop(Conn* conn) {
+  const size_t max_pipeline = static_cast<size_t>(options_.max_pipeline);
   util::FrameReader reader(conn->fd);
   util::Frame frame;
-  for (;;) {
-    const util::IpcStatus status = reader.Read(frame, /*timeout_ms=*/-1);
-    if (status != util::IpcStatus::kOk) {
-      // EOF is the normal goodbye; anything else (corruption, a torn
-      // frame from a dying peer) just ends this conversation — the
-      // dispatch server and the other connections are untouched.
-      if (status != util::IpcStatus::kEof) {
-        AGSC_LOG(kWarning) << "serve frontend: dropping connection ("
-                           << util::IpcStatusName(status) << ")";
+  std::vector<PendingReply> burst;
+  for (bool open = true; open;) {
+    // Block for one frame, then submit every whole frame the read-ahead
+    // already holds, up to the pipeline room seen after the first.
+    util::IpcStatus status = reader.Read(frame, /*timeout_ms=*/-1);
+    size_t room = 0;
+    for (;;) {
+      if (status != util::IpcStatus::kOk) {
+        // EOF is the normal goodbye; anything else (corruption, a torn
+        // frame from a dying peer) just ends this conversation — the
+        // dispatch server and the other connections are untouched.
+        if (status != util::IpcStatus::kEof) {
+          AGSC_LOG(kWarning) << "serve frontend: dropping connection ("
+                             << util::IpcStatusName(status) << ")";
+        }
+        open = false;
+        break;
       }
-      break;
+      PendingReply reply;
+      if (!Submit(frame, conn->client, reply)) {
+        AGSC_LOG(kWarning) << "serve frontend: rejecting malformed request "
+                           << "(type " << frame.type << ")";
+        open = false;
+        break;
+      }
+      burst.push_back(std::move(reply));
+      if (!reader.HasBufferedFrame()) break;
+      if (burst.size() == 1) {
+        std::lock_guard<std::mutex> lock(conn->mutex);
+        room = max_pipeline - std::min(conn->pending.size(), max_pipeline);
+      }
+      if (burst.size() >= room) break;
+      status = reader.Read(frame, /*timeout_ms=*/0);  // Buffered: no syscall.
     }
-    PendingReply reply;
-    bool valid = false;
-    if (frame.type == kSrvMsgActRequest) {
-      ServeActRequest req;
-      if ((valid = DecodeServeActRequest(frame.payload, req))) {
-        RequestOptions opts;
-        opts.client = conn->client;
-        opts.priority = req.priority;
-        reply.future = server_.ActAsync(req.agent, req.obs, opts);
-      }
-    } else if (frame.type == kSrvMsgStepRequest) {
-      ServeStepRequest req;
-      if ((valid = DecodeServeStepRequest(frame.payload, req))) {
-        RequestOptions opts;
-        opts.client = conn->client;
-        opts.priority = req.priority;
-        reply.future = server_.StepSessionAsync(req.session, opts);
-      }
-    } else if (frame.type == kSrvMsgHealthRequest) {
-      // Health never enters the admission queue — it must answer
-      // precisely when the queue is the problem. It still takes its FIFO
-      // slot in this connection's response order.
-      if ((valid = DecodeServeHealthRequest(frame.payload))) {
-        reply.is_health = true;
-        reply.health_payload = EncodeServeHealthResponse(server_.Health());
-      }
-    }
-    if (!valid) {
-      AGSC_LOG(kWarning) << "serve frontend: rejecting malformed request "
-                         << "(type " << frame.type << ")";
-      break;
-    }
+    if (burst.empty()) break;
     bool quarantined = false;
     {
       // Pipeline bound: a peer with max_pipeline responses outstanding is
       // backpressured here (we stop reading; TCP flow control propagates).
+      // Frames past the first only take free room, so only the first can
+      // wait here.
       std::unique_lock<std::mutex> lock(conn->mutex);
-      conn->cv.wait(lock, [this, conn] {
+      conn->cv.wait(lock, [conn, &burst, max_pipeline] {
         return conn->quarantined ||
-               conn->pending.size() <
-                   static_cast<size_t>(options_.max_pipeline);
+               conn->pending.size() + burst.size() <= max_pipeline;
       });
       quarantined = conn->quarantined;
-      if (!quarantined) conn->pending.push_back(std::move(reply));
+      if (!quarantined) {
+        for (PendingReply& reply : burst) {
+          conn->pending.push_back(std::move(reply));
+        }
+      }
     }
+    burst.clear();
     if (quarantined) break;  // Connection is being torn down; stop reading.
     conn->cv.notify_all();
   }
@@ -377,31 +408,51 @@ void ServeFrontend::WriterLoop(Conn* conn) {
   util::FrameWriter writer(conn->fd);
   uint64_t out_seq = 0;
   bool broken = false;
+  std::vector<PendingReply> run;
+  const auto append = [&](PendingReply& reply) {
+    if (reply.is_health) {
+      if (!broken) {
+        writer.Append(kSrvMsgHealthResponse, out_seq++, reply.health_payload);
+      }
+      return;
+    }
+    // Always completes: served, expired, rejected, shed, or shutdown —
+    // the dispatch server never leaves a promise dangling.
+    const std::string payload = EncodeServeResponse(reply.future.get());
+    if (!broken) writer.Append(kSrvMsgResponse, out_seq++, payload);
+  };
+  const auto complete = [](PendingReply& reply) {
+    return reply.is_health || reply.future.wait_for(std::chrono::seconds(0)) ==
+                                  std::future_status::ready;
+  };
   for (;;) {
-    PendingReply reply;
+    PendingReply oldest;
     {
       std::unique_lock<std::mutex> lock(conn->mutex);
       conn->cv.wait(lock, [conn] {
         return !conn->pending.empty() || conn->reader_done;
       });
       if (conn->pending.empty()) break;  // Reader gone and fully drained.
-      reply = std::move(conn->pending.front());
+      oldest = std::move(conn->pending.front());
       conn->pending.pop_front();
     }
     conn->cv.notify_all();  // Free a pipeline slot for the reader.
-    uint32_t type = kSrvMsgResponse;
-    std::string payload;
-    if (reply.is_health) {
-      type = kSrvMsgHealthResponse;
-      payload = std::move(reply.health_payload);
-    } else {
-      // Always completes: served, expired, rejected, shed, or shutdown —
-      // the dispatch server never leaves a promise dangling.
-      payload = EncodeServeResponse(reply.future.get());
+    // Wait for the oldest reply only, then take every later one that has
+    // already completed: a run goes out in one Flush, and no reply is held
+    // back for another.
+    append(oldest);
+    {
+      std::lock_guard<std::mutex> lock(conn->mutex);
+      while (!conn->pending.empty() && complete(conn->pending.front())) {
+        run.push_back(std::move(conn->pending.front()));
+        conn->pending.pop_front();
+      }
     }
+    if (!run.empty()) conn->cv.notify_all();
+    for (PendingReply& reply : run) append(reply);
+    run.clear();
     if (broken) continue;  // Draining slots only; the socket is dead.
-    const util::IpcStatus status =
-        writer.Write(type, out_seq++, payload, options_.write_timeout_ms);
+    const util::IpcStatus status = writer.Flush(options_.write_timeout_ms);
     if (status == util::IpcStatus::kOk) continue;
     broken = true;
     // kTimeout = the peer stopped draining its socket inside the write

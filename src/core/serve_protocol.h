@@ -112,12 +112,21 @@ bool DecodeServeHealthResponse(const std::string& payload,
 /// the deque; a peer that overruns it is simply backpressured (its reader
 /// stops reading, TCP flow control does the rest).
 ///
-/// Slow-client quarantine: every response write is bounded by
-/// `write_timeout_ms` (the connection's write budget). A peer that stops
-/// draining its socket trips the budget; the frontend then cancels the
-/// client's queued dispatch work (DispatchServer::CancelClient — shed as
-/// `rejected`/disconnect, so batch slots go back to live clients), counts
-/// the quarantine, and tears the connection down. `send_buffer_bytes`
+/// Bursts: after each blocking read the reader also submits every whole
+/// frame its FrameReader already buffered, up to the deque's free room,
+/// and queues the replies under one lock with one notify. So a connection
+/// still has at most max_pipeline + 2 requests in the dispatch server:
+/// the deque, the writer's oldest and the reader's first. The writer
+/// blocks only on the oldest reply, then takes every later reply that has
+/// already completed and sends the run with one Flush; it never waits for
+/// one reply to send another.
+///
+/// Slow-client quarantine: every Flush of a run of responses is bounded
+/// by `write_timeout_ms` (the connection's write budget). A peer that
+/// stops draining its socket trips the budget; the frontend then cancels
+/// the client's queued dispatch work (DispatchServer::CancelClient — shed
+/// as `rejected`/disconnect, so batch slots go back to live clients),
+/// counts the quarantine, and tears the connection down. `send_buffer_bytes`
 /// optionally shrinks SO_SNDBUF on accepted sockets so tests can trip the
 /// budget without writing megabytes.
 ///
@@ -185,6 +194,9 @@ class ServeFrontend {
   };
 
   void AcceptLoop();
+  /// Decodes one request frame and submits it under `client`; false for a
+  /// malformed or unknown request.
+  bool Submit(const util::Frame& frame, uint64_t client, PendingReply& reply);
   void ReaderLoop(Conn* conn);
   void WriterLoop(Conn* conn);
   /// Cancels the connection's dispatch work and tears the socket down

@@ -88,89 +88,109 @@ FrameWriter::FrameWriter(int fd) : fd_(fd) {
   SetNonBlocking(fd, true);
 }
 
-IpcStatus FrameWriter::Write(uint32_t type, uint64_t seq,
-                             const std::string& payload, long timeout_ms,
-                             long corrupt_payload_byte) {
+IpcStatus FrameWriter::Append(uint32_t type, uint64_t seq,
+                              const std::string& payload,
+                              long corrupt_payload_byte) {
   if (payload.size() > kMaxFramePayload) return IpcStatus::kError;
   const uint32_t len = static_cast<uint32_t>(payload.size());
-
-  scratch_.clear();
-  scratch_.reserve(kFrameHeaderBytes + payload.size());
-  const auto put_u32 = [this](uint32_t v) {
-    scratch_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  const size_t at = staged_.size();
+  staged_.reserve(at + kFrameHeaderBytes + payload.size());
+  const auto put = [this](const auto& v) {
+    staged_.append(reinterpret_cast<const char*>(&v), sizeof(v));
   };
-  const auto put_u64 = [this](uint64_t v) {
-    scratch_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u32(kFrameMagic);
-  put_u32(type);
-  put_u64(seq);
-  put_u32(len);
+  put(kFrameMagic);
+  put(type);
+  put(seq);
+  put(len);
   // CRC over [type, seq, len, payload]: everything after the magic except
   // the CRC field itself.
-  uint32_t crc = Crc32(scratch_.data() + 4, scratch_.size() - 4);
+  uint32_t crc = Crc32(staged_.data() + at + 4, kFrameHeaderBytes - 8);
   crc = Crc32(payload.data(), payload.size(), crc);
-  put_u32(crc);
-  scratch_.append(payload);
+  put(crc);
+  staged_.append(payload);
 
   if (corrupt_payload_byte >= 0 &&
       static_cast<size_t>(corrupt_payload_byte) < payload.size()) {
-    scratch_[kFrameHeaderBytes + static_cast<size_t>(corrupt_payload_byte)] ^=
+    staged_[at + kFrameHeaderBytes +
+            static_cast<size_t>(corrupt_payload_byte)] ^=
         static_cast<char>(0xFF);
-  }
-
-  const bool bounded = timeout_ms >= 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  size_t written = 0;
-  while (written < scratch_.size()) {
-    const char* p = scratch_.data() + written;
-    const size_t left = scratch_.size() - written;
-    // MSG_NOSIGNAL only exists for sockets; pipes rely on IgnoreSigpipe().
-    const ssize_t n =
-        is_socket_ ? ::send(fd_, p, left, MSG_NOSIGNAL) : ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Buffer full: wait for drain within the deadline. An expired
-        // deadline still gets one zero-timeout probe, mirroring the read
-        // side: only actual waiting is refused.
-        const long remaining =
-            bounded ? std::max(0L, RemainingMs(deadline)) : -1L;
-        struct pollfd pfd{fd_, POLLOUT, 0};
-        const int pr = ::poll(&pfd, 1, static_cast<int>(remaining));
-        if (pr < 0) {
-          if (errno == EINTR) continue;
-          return IpcStatus::kError;
-        }
-        if (pr == 0) return IpcStatus::kTimeout;
-        continue;
-      }
-      return IpcStatus::kError;
-    }
-    written += static_cast<size_t>(n);
   }
   return IpcStatus::kOk;
 }
 
-IpcStatus FrameReader::ReadExact(char* buf, size_t n, long timeout_ms,
-                                 bool* at_boundary) {
-  // Sentinel: negative = unbounded, 0 = buffered-data-only probe,
-  // positive = deadline. (0 used to mean unbounded — an ambiguous sentinel
-  // that turned a computed remaining-time of 0 into an infinite block.)
+IpcStatus FrameWriter::Flush(long timeout_ms) {
   const bool bounded = timeout_ms >= 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  size_t got = 0;
-  while (got < n) {
+  const auto send_all = [&] {
+    size_t written = 0;
+    while (written < staged_.size()) {
+      const char* p = staged_.data() + written;
+      const size_t left = staged_.size() - written;
+      // MSG_NOSIGNAL only exists for sockets; pipes rely on IgnoreSigpipe().
+      const ssize_t n = is_socket_ ? ::send(fd_, p, left, MSG_NOSIGNAL)
+                                   : ::write(fd_, p, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          // Buffer full: wait for drain within the deadline. An expired
+          // deadline still gets one zero-timeout probe, mirroring the read
+          // side: only actual waiting is refused.
+          const long remaining =
+              bounded ? std::max(0L, RemainingMs(deadline)) : -1L;
+          struct pollfd pfd{fd_, POLLOUT, 0};
+          const int pr = ::poll(&pfd, 1, static_cast<int>(remaining));
+          if (pr < 0) {
+            if (errno == EINTR) continue;
+            return IpcStatus::kError;
+          }
+          if (pr == 0) return IpcStatus::kTimeout;
+          continue;
+        }
+        return IpcStatus::kError;
+      }
+      written += static_cast<size_t>(n);
+    }
+    return IpcStatus::kOk;
+  };
+  const IpcStatus status = send_all();
+  staged_.clear();
+  return status;
+}
+
+IpcStatus FrameWriter::Write(uint32_t type, uint64_t seq,
+                             const std::string& payload, long timeout_ms,
+                             long corrupt_payload_byte) {
+  const IpcStatus status = Append(type, seq, payload, corrupt_payload_byte);
+  return status == IpcStatus::kOk ? Flush(timeout_ms) : status;
+}
+
+FrameReader::FrameReader(int fd)
+    : fd_(fd), buf_(new char[kReadAheadBytes]) {}
+
+bool FrameReader::HasBufferedFrame() const {
+  if (buffered() < kFrameHeaderBytes) return false;
+  uint32_t len = 0;
+  std::memcpy(&len, buf_.get() + begin_ + 16, 4);
+  return len <= buffered() - kFrameHeaderBytes;
+}
+
+IpcStatus FrameReader::ReadSome(char* dst, size_t n, size_t* got,
+                                long timeout_ms,
+                                const std::chrono::steady_clock::time_point&
+                                    deadline) {
+  for (;;) {
     // Poll unconditionally — the fd may be nonblocking (a FrameWriter on
     // the same socket switches it), so even the unbounded path must wait
     // for readiness instead of spinning on EAGAIN. An expired deadline
     // still gets one zero-timeout readiness probe: data that is already
-    // buffered is served, only actual waiting is refused. Without this a
-    // tight deadline (1 ms truncates to 0 on the steady-clock round trip)
-    // would misreport a ready frame as timeout.
-    const long remaining = bounded ? std::max(0L, RemainingMs(deadline)) : -1L;
+    // in the kernel is served, only actual waiting is refused. Without
+    // this a tight deadline (1 ms truncates to 0 on the steady-clock round
+    // trip) would misreport a ready frame as timeout.
+    const long remaining =
+        timeout_ms < 0 ? -1L
+                       : (timeout_ms == 0 ? 0L
+                                          : std::max(0L, RemainingMs(deadline)));
     struct pollfd pfd{fd_, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, static_cast<int>(remaining));
     if (pr < 0) {
@@ -178,60 +198,108 @@ IpcStatus FrameReader::ReadExact(char* buf, size_t n, long timeout_ms,
       return IpcStatus::kError;
     }
     if (pr == 0) return IpcStatus::kTimeout;
-    const ssize_t r = ::read(fd_, buf + got, n - got);
+    const ssize_t r = ::read(fd_, dst, n);
     if (r < 0) {
-      if (errno == EINTR) continue;
       // Readiness can be spurious (another reader raced us, or the kernel
       // woke us for an event that drained); go back to poll.
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return IpcStatus::kError;
     }
-    if (r == 0) {
-      // EOF: clean only if nothing of this read unit has arrived yet and
-      // the caller says we sit at a frame boundary.
-      return (got == 0 && at_boundary != nullptr && *at_boundary)
-                 ? IpcStatus::kEof
-                 : IpcStatus::kCorrupt;
-    }
-    got += static_cast<size_t>(r);
-    if (at_boundary != nullptr) *at_boundary = false;
+    if (r == 0) return IpcStatus::kEof;
+    *got = static_cast<size_t>(r);
+    return IpcStatus::kOk;
   }
-  return IpcStatus::kOk;
+}
+
+IpcStatus FrameReader::Fill(long timeout_ms,
+                            const std::chrono::steady_clock::time_point&
+                                deadline) {
+  // Only a partial frame is ever buffered here, and it fits with room to
+  // spare (a buffered payload is at most kDirectReadBytes).
+  if (begin_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + begin_, buffered());
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  size_t got = 0;
+  const IpcStatus status = ReadSome(buf_.get() + end_, kReadAheadBytes - end_,
+                                    &got, timeout_ms, deadline);
+  end_ += got;
+  return status;
 }
 
 IpcStatus FrameReader::Read(Frame& out, long timeout_ms) {
-  char header[kFrameHeaderBytes];
-  bool at_boundary = true;
-  IpcStatus status =
-      ReadExact(header, sizeof(header), timeout_ms, &at_boundary);
-  if (status != IpcStatus::kOk) return status;
+  if (broken_) return IpcStatus::kCorrupt;
+  const auto corrupt = [this] {
+    broken_ = true;
+    return IpcStatus::kCorrupt;
+  };
+  // Sentinel: negative = unbounded, 0 = probe, positive = deadline. A
+  // whole buffered frame needs no clock.
+  std::chrono::steady_clock::time_point deadline;
+  if (timeout_ms > 0 && !HasBufferedFrame()) {
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(timeout_ms);
+  }
+  while (buffered() < kFrameHeaderBytes) {
+    const IpcStatus status = Fill(timeout_ms, deadline);
+    if (status == IpcStatus::kEof) {
+      return buffered() == 0 ? IpcStatus::kEof : corrupt();
+    }
+    if (status != IpcStatus::kOk) return status;
+  }
 
   uint32_t magic = 0, type = 0, len = 0, crc = 0;
   uint64_t seq = 0;
+  const char* header = buf_.get() + begin_;
   std::memcpy(&magic, header, 4);
   std::memcpy(&type, header + 4, 4);
   std::memcpy(&seq, header + 8, 8);
   std::memcpy(&len, header + 16, 4);
   std::memcpy(&crc, header + 20, 4);
-  if (magic != kFrameMagic) return IpcStatus::kCorrupt;
-  if (len > kMaxFramePayload) return IpcStatus::kCorrupt;
-
-  out.payload.resize(len);
-  if (len > 0) {
-    status = ReadExact(out.payload.data(), len, timeout_ms, nullptr);
-    if (status == IpcStatus::kEof) return IpcStatus::kCorrupt;
-    if (status != IpcStatus::kOk) return status;
-  }
-
+  if (magic != kFrameMagic) return corrupt();
+  if (len > kMaxFramePayload) return corrupt();
   uint32_t want = Crc32(header + 4, 16);
-  want = Crc32(out.payload.data(), out.payload.size(), want);
-  if (want != crc) return IpcStatus::kCorrupt;
-  if (seq != next_seq_) return IpcStatus::kCorrupt;
-  ++next_seq_;
 
+  if (len <= kDirectReadBytes) {
+    // The whole frame fits the read-ahead: complete it there, check it,
+    // and copy out only a valid payload.
+    while (buffered() < kFrameHeaderBytes + len) {
+      const IpcStatus status = Fill(timeout_ms, deadline);
+      if (status == IpcStatus::kEof) return corrupt();
+      if (status != IpcStatus::kOk) return status;
+    }
+    const char* payload = buf_.get() + begin_ + kFrameHeaderBytes;
+    if (Crc32(payload, len, want) != crc) return corrupt();
+    if (seq != next_seq_) return corrupt();
+    out.payload.assign(payload, len);
+    begin_ += kFrameHeaderBytes + len;
+  } else {
+    // Large payload: take what is buffered, read the rest in place.
+    out.payload.resize(len);
+    const size_t have =
+        std::min<size_t>(buffered() - kFrameHeaderBytes, len);
+    std::memcpy(out.payload.data(), header + kFrameHeaderBytes, have);
+    begin_ += kFrameHeaderBytes + have;
+    for (size_t got = have; got < len;) {
+      size_t n = 0;
+      const IpcStatus status = ReadSome(out.payload.data() + got, len - got,
+                                        &n, timeout_ms, deadline);
+      if (status != IpcStatus::kOk) {
+        // The consumed head of this frame cannot be given back.
+        broken_ = true;
+        return status == IpcStatus::kEof ? IpcStatus::kCorrupt : status;
+      }
+      got += n;
+    }
+    if (Crc32(out.payload.data(), len, want) != crc) return corrupt();
+    if (seq != next_seq_) return corrupt();
+  }
+  if (begin_ == end_) begin_ = end_ = 0;
+  ++next_seq_;
   out.type = type;
   out.seq = seq;
-  return status;
+  return IpcStatus::kOk;
 }
 
 }  // namespace agsc::util

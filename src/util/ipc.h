@@ -1,9 +1,11 @@
 #ifndef AGSC_UTIL_IPC_H_
 #define AGSC_UTIL_IPC_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,10 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 /// processes (local pipes or --connect sockets, see util/net) and between
 /// agsc_serve and its framed clients.
 ///
-/// Timeout sentinel (shared by FrameReader::Read, FrameWriter::Write and
-/// TcpListener::Accept): negative = unbounded, 0 = probe (only succeed on
-/// what is already buffered / immediately possible), positive = deadline
-/// in milliseconds.
+/// Timeout sentinel (shared by FrameReader::Read, FrameWriter::Flush/Write
+/// and TcpListener::Accept): negative = unbounded, 0 = probe (only succeed
+/// on what is already buffered / immediately possible), positive =
+/// deadline in milliseconds.
 ///
 /// Layout (all little-endian, which every supported target is):
 ///   u32 magic   "AGF1" (0x31464741)
@@ -63,6 +65,9 @@ const char* IpcStatusName(IpcStatus status);
 
 /// Serializes frames onto `fd`. Not thread-safe; one writer per stream.
 ///
+/// Frames are staged with Append and sent by Flush, so a run of frames
+/// leaves in one send(2); Write is one Append plus one Flush.
+///
 /// The constructor switches `fd` to O_NONBLOCK: a bounded write is only
 /// honest on a nonblocking fd (a blocking write(2) past the pipe/socket
 /// buffer blocks until completion regardless of any prior poll). The
@@ -73,50 +78,89 @@ class FrameWriter {
  public:
   explicit FrameWriter(int fd);
 
-  /// Writes one frame; `seq` is the caller's counter (FrameReader enforces
-  /// the gap-free contract on the far side). `timeout_ms` bounds the whole
-  /// write with the shared sentinel (negative = block until written, 0 =
-  /// only what fits in the kernel buffer right now, positive = deadline):
-  /// a peer that stops draining yields kTimeout instead of wedging the
-  /// caller. After kTimeout/kError the stream may hold a torn frame — the
-  /// owner must escalate (kill/respawn the worker or drop the connection),
-  /// never keep writing. `corrupt_payload_byte`, when >= 0, XOR-flips that
-  /// payload byte *after* the CRC is computed — the deliberately-damaged-
-  /// frame hook for the CORRUPT_FRAME fault campaign. Returns kOk,
-  /// kTimeout, or kError (e.g. EPIPE from a dead peer / oversized payload).
+  /// Stages one frame behind those already appended; nothing is sent until
+  /// Flush. `seq` is the caller's counter (FrameReader enforces the
+  /// gap-free contract on the far side). `corrupt_payload_byte`, when >= 0,
+  /// XOR-flips that payload byte *after* the CRC is computed — the
+  /// deliberately-damaged-frame hook for the CORRUPT_FRAME fault campaign.
+  /// Returns kError, staging nothing, for a payload over kMaxFramePayload.
+  IpcStatus Append(uint32_t type, uint64_t seq, const std::string& payload,
+                   long corrupt_payload_byte = -1);
+
+  /// Sends every appended frame. `timeout_ms` bounds the whole send with
+  /// the shared sentinel (negative = block until written, 0 = only what
+  /// fits in the kernel buffer right now, positive = deadline): a peer
+  /// that stops draining yields kTimeout instead of wedging the caller.
+  /// The staged frames are dropped whatever the outcome. After
+  /// kTimeout/kError the stream may hold a torn frame — the owner must
+  /// escalate (kill/respawn the worker or drop the connection), never keep
+  /// writing. Returns kOk, kTimeout, or kError (e.g. EPIPE from a dead
+  /// peer).
+  IpcStatus Flush(long timeout_ms = -1);
+
+  /// Append + Flush of one frame.
   IpcStatus Write(uint32_t type, uint64_t seq, const std::string& payload,
                   long timeout_ms = -1, long corrupt_payload_byte = -1);
 
  private:
   int fd_;
   bool is_socket_ = false;
-  std::string scratch_;
+  std::string staged_;
 };
 
 /// Deserializes frames from `fd`, enforcing magic/length/CRC and the
-/// gap-free sequence contract. Not thread-safe; one reader per pipe.
+/// gap-free sequence contract. Not thread-safe; one reader per stream, and
+/// the reader lives as long as the stream: it reads ahead, so bytes it has
+/// taken from the fd exist only in its buffer.
+///
+/// Each poll+read pulls up to kReadAheadBytes, i.e. every frame the kernel
+/// holds up to that size, and later Reads serve frames from memory. The
+/// buffer never grows. A payload over kDirectReadBytes takes the bytes
+/// already buffered and reads the rest straight into Frame::payload, so a
+/// frame at kMaxFramePayload costs one payload-sized allocation.
 class FrameReader {
  public:
-  explicit FrameReader(int fd) : fd_(fd) {}
+  static constexpr size_t kReadAheadBytes = size_t{64} << 10;
+  static constexpr size_t kDirectReadBytes = size_t{16} << 10;
 
-  /// Reads exactly one frame. `timeout_ms` follows the shared sentinel:
-  /// negative blocks forever, 0 serves only data already buffered (a
-  /// zero-cost readiness probe that never waits), positive bounds each of
-  /// the header and payload phases. kEof is only reported at a frame
-  /// boundary; EOF mid-frame is a torn write and reports kCorrupt. A frame
-  /// whose seq is not the next expected value also reports kCorrupt: a
-  /// lost or replayed chunk must not be silently accepted. After kTimeout
-  /// the stream may sit mid-frame (bytes already consumed are dropped) —
-  /// owners escalate exactly as for kCorrupt.
+  explicit FrameReader(int fd);
+
+  /// Reads exactly one frame. `timeout_ms` bounds the whole call with the
+  /// shared sentinel: negative blocks forever, 0 never waits (a buffered
+  /// whole frame is served without any syscall, otherwise the fd is
+  /// probed), positive is a deadline. kEof is only reported at a frame
+  /// boundary with nothing buffered; EOF mid-frame is a torn write and
+  /// reports kCorrupt. A frame whose seq is not the next expected value
+  /// also reports kCorrupt: a lost or replayed chunk must not be silently
+  /// accepted. kCorrupt is final: every later Read reports it again.
+  /// After kTimeout a partial frame whose payload is at most
+  /// kDirectReadBytes stays buffered and the next Read resumes it; a
+  /// larger payload cannot be given back, so later Reads report kCorrupt.
+  /// Owners escalate on kTimeout as on kCorrupt.
   IpcStatus Read(Frame& out, long timeout_ms);
+
+  /// True iff a whole frame is buffered: the next Read makes no syscall.
+  bool HasBufferedFrame() const;
 
   uint64_t next_seq() const { return next_seq_; }
 
  private:
-  IpcStatus ReadExact(char* buf, size_t n, long timeout_ms, bool* at_boundary);
+  size_t buffered() const { return end_ - begin_; }
+  /// One poll + one read of at most `n` bytes into `dst`; kOk with
+  /// `*got` > 0, or kEof, kTimeout, kError.
+  IpcStatus ReadSome(char* dst, size_t n, size_t* got, long timeout_ms,
+                     const std::chrono::steady_clock::time_point& deadline);
+  /// Moves the partial frame to the front of the buffer, then ReadSome
+  /// into the free tail.
+  IpcStatus Fill(long timeout_ms,
+                 const std::chrono::steady_clock::time_point& deadline);
 
   int fd_;
   uint64_t next_seq_ = 0;
+  std::unique_ptr<char[]> buf_;
+  size_t begin_ = 0;  ///< First unconsumed byte.
+  size_t end_ = 0;    ///< One past the last buffered byte.
+  bool broken_ = false;  ///< kCorrupt seen, or a large payload abandoned.
 };
 
 /// Bounds-checked binary encode/decode helpers for frame payloads. Floats

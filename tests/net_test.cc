@@ -3,8 +3,11 @@
 // sentinels, nonblocking connect with a deadline, the reconnect backoff
 // sequence (asserted exactly via the injectable sleep), frames split across
 // TCP segments, EINTR storms against a blocked read, a peer that RSTs
-// mid-frame, bounded writes against a full pipe/socket buffer, and the
-// SIGPIPE discipline (install-once SIG_IGN + MSG_NOSIGNAL on sockets).
+// mid-frame, bounded writes against a full pipe/socket buffer, the
+// SIGPIPE discipline (install-once SIG_IGN + MSG_NOSIGNAL on sockets), the
+// FrameReader read-ahead and FrameWriter bursts, and the serving frontend
+// answering a burst of pipelined requests in order within its pipeline
+// bound.
 //
 // Everything runs on loopback or local pipes — no external network, no
 // fixed port numbers (every listener binds port 0 and reads bound_port()).
@@ -15,14 +18,26 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dispatch_server.h"
+#include "core/hi_madrl.h"
+#include "core/policy_snapshot.h"
+#include "core/serve_protocol.h"
+#include "env/config.h"
+#include "env/sc_env.h"
+#include "map/campus.h"
+#include "util/fault_inject.h"
 #include "util/ipc.h"
 #include "util/net.h"
 #include "util/retry.h"
@@ -536,6 +551,388 @@ TEST(NetTest, NegativeTimeoutBlocksUntilTheFrameArrives) {
   EXPECT_EQ(frame.payload, "late");
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Read-ahead: one read takes every frame the kernel holds.
+// ---------------------------------------------------------------------------
+
+/// Pipe pair whose ends can be closed early; closes the rest on scope exit.
+struct PipePair {
+  int fds[2] = {-1, -1};
+  PipePair() { EXPECT_EQ(::pipe(fds), 0); }
+  ~PipePair() {
+    CloseRead();
+    CloseWrite();
+  }
+  void Put(const std::string& bytes) {
+    ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  void CloseRead() {
+    if (fds[0] >= 0) ::close(fds[0]);
+    fds[0] = -1;
+  }
+  void CloseWrite() {
+    if (fds[1] >= 0) ::close(fds[1]);
+    fds[1] = -1;
+  }
+};
+
+std::string Payload(size_t n, uint64_t salt) {
+  std::string payload(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    payload[i] = static_cast<char>((i * 131 + salt * 7919) >> 3);
+  }
+  return payload;
+}
+
+TEST(NetTest, FramesFromOneWriteAreServedFromTheReadAhead) {
+  PipePair p;
+  constexpr uint64_t kFrames = 40;
+  std::string bytes;
+  for (uint64_t seq = 0; seq < kFrames; ++seq) {
+    bytes += RawFrame(static_cast<uint32_t>(seq % 5), seq,
+                      Payload(seq * 37 % 300, seq));
+  }
+  p.Put(bytes);
+  FrameReader reader(p.fds[0]);
+  EXPECT_FALSE(reader.HasBufferedFrame());
+  for (uint64_t seq = 0; seq < kFrames; ++seq) {
+    Frame frame;
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+    EXPECT_EQ(frame.seq, seq);
+    EXPECT_EQ(frame.type, static_cast<uint32_t>(seq % 5));
+    EXPECT_EQ(frame.payload, Payload(seq * 37 % 300, seq));
+    EXPECT_EQ(reader.HasBufferedFrame(), seq + 1 < kFrames) << seq;
+  }
+}
+
+TEST(NetTest, TwoFramesSplitAtEveryOffsetReassemble) {
+  const std::string first = Payload(41, 1);
+  const std::string second = Payload(29, 2);
+  const std::string bytes = RawFrame(3, 0, first) + RawFrame(4, 1, second);
+  const size_t seam = util::kFrameHeaderBytes + first.size();
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    PipePair p;
+    FrameReader reader(p.fds[0]);
+    Frame frame;
+    p.Put(bytes.substr(0, cut));
+    // A probe takes whatever arrived; a partial frame stays buffered.
+    const IpcStatus probe = reader.Read(frame, /*timeout_ms=*/0);
+    EXPECT_EQ(probe, cut >= seam ? IpcStatus::kOk : IpcStatus::kTimeout);
+    p.Put(bytes.substr(cut));
+    p.CloseWrite();
+    if (probe != IpcStatus::kOk) {
+      ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+    }
+    EXPECT_EQ(frame.type, 3u);
+    EXPECT_EQ(frame.payload, first);
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+    EXPECT_EQ(frame.type, 4u);
+    EXPECT_EQ(frame.payload, second);
+    EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kEof);
+  }
+}
+
+TEST(NetTest, EofIsCleanOnlyAtAFrameBoundary) {
+  const std::string whole = RawFrame(1, 0, "whole");
+  {
+    PipePair p;
+    p.Put(whole);
+    p.CloseWrite();
+    FrameReader reader(p.fds[0]);
+    Frame frame;
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+    EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kEof);
+  }
+  // Part of a second frame buffered when EOF arrives: a torn frame.
+  for (size_t part : {size_t{1}, size_t{23}, size_t{24}, size_t{27}}) {
+    SCOPED_TRACE("partial bytes " + std::to_string(part));
+    PipePair p;
+    p.Put(whole + RawFrame(2, 1, "torn").substr(0, part));
+    p.CloseWrite();
+    FrameReader reader(p.fds[0]);
+    Frame frame;
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+    EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kCorrupt);
+    // kCorrupt is final.
+    EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kCorrupt);
+  }
+}
+
+TEST(NetTest, DamageInTheSecondBufferedFrameFailsOnlyThatFrame) {
+  const std::string first = RawFrame(1, 0, Payload(100, 1));
+  std::string bad_crc = RawFrame(2, 1, Payload(100, 2));
+  bad_crc[util::kFrameHeaderBytes + 50] ^= 0x10;
+  const std::string seq_gap = RawFrame(2, 2, Payload(100, 2));
+  for (const std::string& second : {bad_crc, seq_gap}) {
+    PipePair p;
+    p.Put(first + second);
+    FrameReader reader(p.fds[0]);
+    Frame frame;
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+    EXPECT_EQ(frame.payload, Payload(100, 1));
+    EXPECT_TRUE(reader.HasBufferedFrame());
+    EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kCorrupt);
+  }
+}
+
+TEST(NetTest, BufferedFrameIsServedAfterTheReadEndIsClosed) {
+  // With the fd closed, any poll or read fails: serving the second frame
+  // proves Read made no syscall for it.
+  PipePair p;
+  p.Put(RawFrame(1, 0, "one") + RawFrame(2, 1, "two"));
+  FrameReader reader(p.fds[0]);
+  Frame frame;
+  ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+  p.CloseRead();
+  ASSERT_TRUE(reader.HasBufferedFrame());
+  ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/-1), IpcStatus::kOk);
+  EXPECT_EQ(frame.type, 2u);
+  EXPECT_EQ(frame.payload, "two");
+}
+
+TEST(NetTest, PayloadsAboveTheDirectReadCutOffInterleaveWithSmallFrames) {
+  // Large payloads take the buffered head and read the rest in place; the
+  // small frames around them still come from the read-ahead.
+  const std::vector<size_t> sizes = {
+      10, FrameReader::kDirectReadBytes, FrameReader::kDirectReadBytes + 1,
+      7, FrameReader::kReadAheadBytes, 3 * FrameReader::kReadAheadBytes + 5, 0};
+  std::string bytes;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    bytes += RawFrame(9, i, Payload(sizes[i], i));
+  }
+  PipePair p;
+  std::thread writer([&] {
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const ssize_t n = ::write(p.fds[1], bytes.data() + at,
+                                std::min<size_t>(5000, bytes.size() - at));
+      ASSERT_GT(n, 0);
+      at += static_cast<size_t>(n);
+    }
+    p.CloseWrite();
+  });
+  FrameReader reader(p.fds[0]);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    Frame frame;
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/10000), IpcStatus::kOk) << i;
+    EXPECT_EQ(frame.seq, i);
+    EXPECT_TRUE(frame.payload == Payload(sizes[i], i)) << "frame " << i;
+  }
+  Frame frame;
+  EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/10000), IpcStatus::kEof);
+  writer.join();
+}
+
+// ---------------------------------------------------------------------------
+// FrameWriter bursts.
+// ---------------------------------------------------------------------------
+
+/// Drains everything readable from a pipe's read end (the writer is done).
+std::string DrainPipe(int fd) {
+  std::string bytes;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    bytes.append(chunk, static_cast<size_t>(n));
+  }
+  return bytes;
+}
+
+TEST(NetTest, AppendAndFlushEmitTheSameBytesAsWrite) {
+  struct Spec {
+    uint32_t type;
+    std::string payload;
+    long corrupt_byte;
+  };
+  const std::vector<Spec> frames = {
+      {1, "", -1}, {2, Payload(5, 2), -1}, {3, Payload(300, 3), 17},
+      {4, Payload(64, 4), 0}, {5, Payload(1000, 5), -1}};
+  PipePair single;
+  PipePair burst;
+  {
+    FrameWriter one(single.fds[1]);
+    FrameWriter many(burst.fds[1]);
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_EQ(one.Write(frames[i].type, i, frames[i].payload,
+                          /*timeout_ms=*/1000, frames[i].corrupt_byte),
+                IpcStatus::kOk);
+      ASSERT_EQ(many.Append(frames[i].type, i, frames[i].payload,
+                            frames[i].corrupt_byte),
+                IpcStatus::kOk);
+    }
+    ASSERT_EQ(many.Flush(/*timeout_ms=*/1000), IpcStatus::kOk);
+    // Nothing staged: a second Flush sends nothing.
+    ASSERT_EQ(many.Flush(/*timeout_ms=*/0), IpcStatus::kOk);
+    // An oversized payload is refused and stages nothing.
+    EXPECT_EQ(many.Append(6, frames.size(),
+                          std::string(util::kMaxFramePayload + 1, 'x')),
+              IpcStatus::kError);
+    ASSERT_EQ(many.Flush(/*timeout_ms=*/0), IpcStatus::kOk);
+  }
+  single.CloseWrite();
+  burst.CloseWrite();
+  // Both equal the documented layout, with the hook's post-CRC flip.
+  std::string expected;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    std::string frame = RawFrame(frames[i].type, i, frames[i].payload);
+    if (frames[i].corrupt_byte >= 0) {
+      frame[util::kFrameHeaderBytes +
+            static_cast<size_t>(frames[i].corrupt_byte)] ^=
+          static_cast<char>(0xFF);
+    }
+    expected += frame;
+  }
+  const std::string via_write = DrainPipe(single.fds[0]);
+  const std::string via_flush = DrainPipe(burst.fds[0]);
+  EXPECT_TRUE(via_write == expected);
+  EXPECT_TRUE(via_flush == expected);
+}
+
+TEST(NetTest, FlushAgainstFullSocketBufferReturnsTimeoutWithinBudget) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int tiny = 4096;
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
+            0);
+  util::IgnoreSigpipe();
+  FrameWriter writer(fds[1]);
+  for (uint64_t seq = 0; seq < 64; ++seq) {
+    ASSERT_EQ(writer.Append(1, seq, Payload(16000, seq)), IpcStatus::kOk);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(writer.Flush(/*timeout_ms=*/100), IpcStatus::kTimeout);
+  const long waited = ElapsedMs(start);
+  EXPECT_GE(waited, 90);
+  EXPECT_LT(waited, 2000);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Serving frontend: a burst of pipelined requests.
+// ---------------------------------------------------------------------------
+
+TEST(NetTest, FrontendAnswersABurstInOrderWithinThePipelineBound) {
+  // 300 Acts arrive in one send while every inference batch stalls, so the
+  // frontend finds many whole frames at once and the pipeline bound is what
+  // holds them back. The replies must come back in request order, each
+  // bit-identical to a direct DispatchServer::Act, and a Health probe on a
+  // second connection must never see more than max_pipeline + 2 of this
+  // connection's requests queued (the pending replies, plus one held by
+  // the writer and one by the reader).
+  env::EnvConfig config;
+  config.num_timeslots = 6;
+  config.num_pois = 10;
+  config.num_uavs = 1;
+  config.num_ugvs = 1;
+  env::ScEnv env(config, map::BuildDataset(map::CampusId::kPurdue, 10), 1);
+  core::TrainConfig train;
+  train.net.hidden = {16};
+  train.eoi.hidden = {12};
+  train.seed = 7;
+  train.verbose = false;
+  core::HiMadrlTrainer trainer(env, train);
+  const std::shared_ptr<core::PolicySnapshot> snapshot =
+      core::PolicySnapshot::FromTrainer(trainer, "<burst>");
+
+  core::DispatchConfig dconfig;
+  dconfig.num_sessions = 1;
+  dconfig.max_batch = 2;
+  dconfig.deadline_ms = 0;
+  dconfig.max_queue = 0;
+  core::DispatchServer served(env, dconfig);
+  served.PublishSnapshot(snapshot);
+  served.Start();
+
+  util::FaultInjector::Config fault;
+  fault.stall_every = 1;
+  fault.stall_ms = 2;
+  util::FaultInjector::Instance().set_config(fault);
+
+  core::ServeFrontend::Options fopts;
+  fopts.listen_address = "127.0.0.1:0";
+  fopts.max_pipeline = 8;
+  core::ServeFrontend frontend(served, fopts);
+  frontend.Start();
+  const int port = frontend.bound_port();
+
+  // Distinct observations, so a reply out of order cannot match its slot.
+  constexpr int kRequests = 300;
+  const std::vector<float> base = env.Reset().observations[0];
+  std::vector<core::ServeActRequest> requests(kRequests);
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    requests[i].agent = i % env.num_agents();
+    requests[i].obs = base;
+    requests[i].obs[static_cast<size_t>(i) % base.size()] +=
+        0.01f * static_cast<float>(i + 1);
+    burst += RawFrame(core::kSrvMsgActRequest, static_cast<uint64_t>(i),
+                      core::EncodeServeActRequest(requests[i]));
+  }
+
+  std::string error;
+  const int fd = util::TcpConnect("127.0.0.1", port, 5000, &error);
+  ASSERT_GE(fd, 0) << error;
+  ASSERT_TRUE(util::SetNonBlocking(fd, false));
+  std::thread sender([&] { SendAll(fd, burst.data(), burst.size()); });
+
+  std::atomic<bool> done{false};
+  uint64_t max_depth = 0;
+  bool health_ok = true;
+  std::thread prober([&] {
+    core::ServeClient probe;
+    std::string probe_error;
+    health_ok = probe.Connect("127.0.0.1", port, 5000, &probe_error);
+    while (health_ok && !done.load()) {
+      core::DispatchHealth health;
+      health_ok = probe.Health(/*timeout_ms=*/10000, health);
+      max_depth = std::max(max_depth, health.queue_depth);
+    }
+  });
+
+  FrameReader reader(fd);
+  std::vector<core::DispatchResult> replies(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    Frame frame;
+    ASSERT_EQ(reader.Read(frame, /*timeout_ms=*/20000), IpcStatus::kOk)
+        << "reply " << i;
+    ASSERT_EQ(frame.type, core::kSrvMsgResponse);
+    ASSERT_TRUE(core::DecodeServeResponse(frame.payload, replies[i]));
+  }
+  done.store(true);
+  sender.join();
+  prober.join();
+  ::close(fd);
+  util::FaultInjector::Instance().Reset();
+  frontend.Stop();
+  served.Stop();
+
+  EXPECT_TRUE(health_ok);
+  EXPECT_GT(max_depth, 0u);  // The probe saw the queue under load.
+  EXPECT_LE(max_depth, static_cast<uint64_t>(fopts.max_pipeline + 2));
+
+  // The oracle runs after the stall is disarmed.
+  core::DispatchServer oracle(env, dconfig);
+  oracle.PublishSnapshot(snapshot);
+  oracle.Start();
+  for (int i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const core::DispatchResult direct =
+        oracle.Act(requests[i].agent, requests[i].obs);
+    ASSERT_TRUE(replies[i].ok);
+    ASSERT_TRUE(direct.ok);
+    EXPECT_EQ(std::bit_cast<uint32_t>(replies[i].action[0]),
+              std::bit_cast<uint32_t>(direct.action[0]));
+    EXPECT_EQ(std::bit_cast<uint32_t>(replies[i].action[1]),
+              std::bit_cast<uint32_t>(direct.action[1]));
+    EXPECT_EQ(replies[i].snapshot_version, direct.snapshot_version);
+  }
+  oracle.Stop();
 }
 
 }  // namespace

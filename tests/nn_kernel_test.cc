@@ -80,12 +80,14 @@ void MakeChainsCancel(Tensor& a, Tensor& bt) {
   }
 }
 
-/// Exact elementwise equality with shape (fails loudly with indices).
+/// Bitwise elementwise equality with shape (fails loudly with indices):
+/// -0 differs from +0, and a NaN equals the same NaN.
 void ExpectBitEqual(const Tensor& a, const Tensor& b, const std::string& tag) {
   ASSERT_EQ(a.rows(), b.rows()) << tag;
   ASSERT_EQ(a.cols(), b.cols()) << tag;
   for (int i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << tag << " flat index " << i;
+    ASSERT_EQ(std::bit_cast<uint32_t>(a[i]), std::bit_cast<uint32_t>(b[i]))
+        << tag << " flat index " << i << ": " << a[i] << " vs " << b[i];
   }
 }
 

@@ -11,7 +11,8 @@
 //
 // A second phase sweeps OFFERED load past the saturation point: open-loop
 // submitter threads pace requests at a fixed arrival rate (0.5x..2x the
-// saturation capacity found by a doubling ramp) against a deadline +
+// saturation capacity found by a doubling ramp that re-probes a saturating
+// rate once and bisects the knee once) against a deadline +
 // bounded admission queue, reporting goodput (deadline-met responses/s)
 // and shed rate at each level. The curve is the congestion-collapse
 // guard: with admission control on, goodput at 2x saturation must stay
@@ -260,31 +261,52 @@ SweepResult MeasureOfferedLoad(const env::ScEnv& env,
   return r;
 }
 
+/// True when a probe saturated the server: it shed more than 2%, or the
+/// pacers could not drive 95% of the offered rate.
+bool Saturated(const SweepResult& r) {
+  return r.shed_rate > 0.02 || r.achieved_per_sec < 0.95 * r.offered_per_sec;
+}
+
 /// Finds the Act path's saturation knee with a doubling ramp of short
 /// open-loop probes: the capacity is the highest probed rate the server
-/// absorbed with under 2% shedding. The ramp stops at the first probe that
-/// sheds materially (or that the pacers cannot drive). A closed-loop probe
-/// would measure latency-bound round-trip throughput instead, which
-/// undershoots real capacity by several times.
+/// absorbed with under 2% shedding. A rate counts as saturating only when
+/// two probes in a row saturate, so one host stall does not end the ramp
+/// early; the ramp stops at the first such rate (or when the pacers cannot
+/// drive it), and one bisection between the last clean rate and that one
+/// refines the knee. A closed-loop probe would measure latency-bound
+/// round-trip throughput instead, which undershoots real capacity by
+/// several times.
 double CalibrateCapacity(const env::ScEnv& env,
                          const core::HiMadrlTrainer& trainer,
                          const std::vector<float>& obs, double probe_sec) {
+  double last_goodput = 0.0;
+  // Returns the achieved rate of a clean probe at `rate`, or 0 when the
+  // rate saturated twice.
+  const auto clean_rate = [&](double rate) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const SweepResult r =
+          MeasureOfferedLoad(env, trainer, obs, rate, probe_sec);
+      std::cerr << "    probe " << util::FormatDouble(rate, 0) << " req/s: "
+                << "goodput " << util::FormatDouble(r.goodput_per_sec, 0)
+                << ", shed_rate " << util::FormatDouble(r.shed_rate, 4)
+                << "\n";
+      last_goodput = r.goodput_per_sec;
+      if (!Saturated(r)) return r.achieved_per_sec;
+    }
+    return 0.0;
+  };
   double rate = 32000.0;
   double knee = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    const SweepResult r =
-        MeasureOfferedLoad(env, trainer, obs, rate, probe_sec);
-    std::cerr << "    probe " << util::FormatDouble(rate, 0) << " req/s: "
-              << "goodput " << util::FormatDouble(r.goodput_per_sec, 0)
-              << ", shed_rate " << util::FormatDouble(r.shed_rate, 4) << "\n";
-    if (r.shed_rate > 0.02 ||
-        r.achieved_per_sec < 0.95 * r.offered_per_sec) {
-      // Saturated: shedding, or the pacers can't hit the rate. Fall back
-      // to this probe's goodput if even the first rate saturated.
-      return knee > 0.0 ? knee : r.goodput_per_sec;
+  for (int i = 0; i < 8; ++i, rate *= 2.0) {
+    const double achieved = clean_rate(rate);
+    if (achieved == 0.0) {
+      // Saturated: fall back to this probe's goodput if even the first
+      // rate saturated, else bisect once between rate / 2 and rate.
+      if (knee == 0.0) return last_goodput;
+      const double mid = clean_rate(0.75 * rate);
+      return mid > 0.0 ? mid : knee;
     }
-    knee = r.achieved_per_sec;
-    rate *= 2.0;
+    knee = achieved;
   }
   return knee;
 }

@@ -1,6 +1,7 @@
 #include "core/hi_madrl.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -43,7 +44,16 @@ double BitsToDouble(uint64_t u) {
   std::memcpy(&d, &u, sizeof(d));
   return d;
 }
+
+std::atomic<internal::ForwardPlacement> g_forward_placement{
+    internal::ForwardPlacement::kBySize};
 }  // namespace
+
+namespace internal {
+void SetForwardPlacement(ForwardPlacement placement) {
+  g_forward_placement.store(placement);
+}
+}  // namespace internal
 
 HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
     : env_(env),
@@ -153,28 +163,74 @@ std::vector<float> HiMadrlTrainer::CriticInput(
   return input;
 }
 
-void HiMadrlTrainer::BatchAct(
-    int k, const std::vector<const std::vector<float>*>& obs_rows,
-    const std::vector<util::Rng*>& rngs,
-    std::vector<std::array<float, 2>>& actions_out,
-    std::vector<float>& logps_out) {
-  const int n = static_cast<int>(obs_rows.size());
-  nn::Tensor batch(n, actor_input_dim_);
-  for (int r = 0; r < n; ++r) {
-    const std::vector<float> input = ActorInput(k, *obs_rows[r]);
-    for (int c = 0; c < actor_input_dim_; ++c) {
-      batch(r, c) = input[static_cast<size_t>(c)];
-    }
+bool HiMadrlTrainer::CollectForwardsInLanes() const {
+  switch (g_forward_placement.load()) {
+    case internal::ForwardPlacement::kCaller: return false;
+    case internal::ForwardPlacement::kLanes: return true;
+    case internal::ForwardPlacement::kBySize: break;
   }
-  // One forward + one log-prob graph for every worker's row; each row of
-  // the MLP/log-prob math depends only on that row, so row r is bit-equal
-  // to a single-row Act() on worker r's observation.
-  nn::DiagGaussian dist = Nets(k).actor->Dist(batch);
-  const nn::Tensor sampled = dist.SamplePerRow(rngs);
-  const nn::Tensor logp = dist.LogProb(sampled).value();
-  for (int r = 0; r < n; ++r) {
-    actions_out[static_cast<size_t>(r)] = {sampled(r, 0), sampled(r, 1)};
-    logps_out[static_cast<size_t>(r)] = logp(r, 0);
+  // The lanes spread the forwards over the cores the workers leave idle
+  // while actions are chosen, and each core's L2 then holds one agent's
+  // weights; below the crossover the pool handoff costs more than the
+  // forward. Lanes over the calling thread in bench_rollout_throughput
+  // (T = 100, 2 UAVs + 2 UGVs, one worker, 4-core AVX-512 host), by
+  // first-layer bytes: 78 KiB 0.67x, 156 KiB 0.67-0.86x, 228 KiB
+  // 0.86-1.00x, 266 KiB 1.06x, 303 KiB 1.17x, 378 KiB 1.21x, 753 KiB
+  // 1.83-2.31x. With 2-8 workers the lanes gain 35-80% at 753 KiB and are
+  // within 0.94-1.19x below 160 KiB.
+  return ActorFirstLayerBytes() >= kLaneForwardBytes;
+}
+
+size_t HiMadrlTrainer::ActorFirstLayerBytes() const {
+  const nn::Tensor& w =
+      Nets(0).actor->mean_net().layers().front().weight().value();
+  return static_cast<size_t>(w.size()) * sizeof(float);
+}
+
+void HiMadrlTrainer::BatchAct(
+    const std::vector<const std::vector<std::vector<float>>*>& obs,
+    const std::vector<util::Rng*>& rngs,
+    std::vector<std::vector<std::array<float, 2>>>& actions_out,
+    std::vector<std::vector<float>>& logps_out) {
+  constexpr int kDims = env::ScEnv::kActionDim;
+  static_assert(kDims == 2, "BatchActFn carries 2-D actions");
+  const int num_agents = env_.num_agents();
+  const int rows = static_cast<int>(obs.size());
+  // Agent k's means fill means[k * rows * kDims, (k + 1) * rows * kDims).
+  // Each forward is Mlp::Infer, bit-identical to the graph forward, and
+  // writes only its own agent's slice, so where it runs changes no bit.
+  std::vector<float> means(static_cast<size_t>(num_agents) * rows * kDims);
+  const auto forward = [&](int k) {
+    nn::Tensor batch(rows, actor_input_dim_);
+    for (int r = 0; r < rows; ++r) {
+      const std::vector<float>& o = (*obs[r])[k];
+      float* dst = batch.data() + static_cast<size_t>(r) * actor_input_dim_;
+      std::copy(o.begin(), o.end(), dst);
+      // ActorInput's one-hot agent id under share_params.
+      if (config_.share_params) dst[o.size() + k] = 1.0f;
+    }
+    const nn::Tensor mean = Nets(k).actor->mean_net().Infer(batch);
+    std::copy(mean.data(), mean.data() + mean.size(),
+              means.data() + static_cast<size_t>(k) * rows * kDims);
+  };
+  if (CollectForwardsInLanes()) {
+    RunOptimizeTasks(num_agents, forward);
+  } else {
+    for (int k = 0; k < num_agents; ++k) forward(k);
+  }
+  // Noise and log-probabilities stay on this thread, agent then row, row r
+  // drawing from its worker's stream: the draws DiagGaussian::SamplePerRow
+  // made per agent, without a graph.
+  for (int k = 0; k < num_agents; ++k) {
+    const float* log_std = Nets(k).actor->log_std().value().data();
+    for (int r = 0; r < rows; ++r) {
+      const float* mean =
+          means.data() + (static_cast<size_t>(k) * rows + r) * kDims;
+      float* action = actions_out[k][r].data();
+      nn::SampleDiagGaussianRow(mean, log_std, kDims, *rngs[r], action);
+      logps_out[k][r] =
+          nn::DiagGaussianRowLogProb(mean, log_std, action, kDims);
+    }
   }
 }
 
@@ -562,10 +618,10 @@ int HiMadrlTrainer::OverallValueEpoch(const OptimizeInputs& in,
 void HiMadrlTrainer::RunOptimizeTasks(
     int count, const std::function<void(int)>& task) {
   if (!optimize_pool_) {
-    // Created by the first optimize phase, so a trainer that never
-    // optimizes (a serving staging trainer, a rollout-only run) starts no
-    // threads. One lane per CPU the process may run on, up to PolicyUpdate's
-    // task count; the calling thread runs one lane itself.
+    // Created by the first optimize phase or large collect, so a trainer
+    // that does neither (a serving staging trainer, a small rollout-only
+    // run) starts no threads. One lane per CPU the process may run on, up
+    // to PolicyUpdate's task count; the calling thread runs one lane itself.
     const int m1_tasks = AgentGroups() + (config_.use_copo ? 1 : 0);
     optimize_pool_ = std::make_unique<util::ThreadPool>(
         std::min(util::AvailableCpus(), m1_tasks) - 1);

@@ -1,6 +1,7 @@
 #ifndef AGSC_CORE_HI_MADRL_H_
 #define AGSC_CORE_HI_MADRL_H_
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -255,6 +256,22 @@ class HiMadrlTrainer : public Policy {
   /// collection without a policy update.
   void CollectRollouts();
 
+  /// True when CollectRollouts runs the agents' actor forwards as lanes of
+  /// the optimize pool rather than one after another on the calling thread:
+  /// when ActorFirstLayerBytes() is at least kLaneForwardBytes, unless
+  /// internal::SetForwardPlacement forces a side. Buffers are the same
+  /// either way.
+  bool CollectForwardsInLanes() const;
+
+  /// Bytes of one actor's first weight matrix, the one a collect forward
+  /// streams when observations are wide.
+  size_t ActorFirstLayerBytes() const;
+
+  /// Actor first-layer weight size from which collect forwards run in
+  /// lanes. The layer is 156 KiB at 100 PoIs and 1.47 MiB at 1000 PoIs
+  /// (hidden 128); see hi_madrl.cc for the measured crossover.
+  static constexpr size_t kLaneForwardBytes = 256 * 1024;
+
   /// The shared on-policy buffer filled by CollectRollouts.
   const MultiAgentBuffer& buffer() const { return buffer_; }
 
@@ -356,13 +373,15 @@ class HiMadrlTrainer : public Policy {
   std::vector<float> CriticInput(int k, const std::vector<float>& obs,
                                  const std::vector<float>& state) const;
 
-  /// Batched action selection across rollout workers for agent `k` (the
-  /// Sampler's BatchActFn): one actor forward over all rows, then per-row
-  /// sampling from each worker's private stream.
-  void BatchAct(int k, const std::vector<const std::vector<float>*>& obs_rows,
-                const std::vector<util::Rng*>& rngs,
-                std::vector<std::array<float, 2>>& actions_out,
-                std::vector<float>& logps_out);
+  /// One timeslot's action selection across rollout workers (the
+  /// Sampler's BatchActFn): one tape-free actor forward per agent over all
+  /// rows, then, on the calling thread in agent-then-row order, each row's
+  /// noise from its worker's private stream and its log-probability.
+  void BatchAct(
+      const std::vector<const std::vector<std::vector<float>>*>& obs,
+      const std::vector<util::Rng*>& rngs,
+      std::vector<std::vector<std::array<float, 2>>>& actions_out,
+      std::vector<std::vector<float>>& logps_out);
   float UpdateEoiAndRewards();
   void SnapshotOldPolicies();
   /// One optimize phase on the current buffer (Lines 12-20): i-EOI update,
@@ -441,6 +460,7 @@ class HiMadrlTrainer : public Policy {
                                 : std::pair{g, g + 1};
   }
   /// Runs task(0..count-1) on the optimize pool, creating it on first use.
+  /// Large collect forwards run here too (CollectForwardsInLanes).
   void RunOptimizeTasks(int count, const std::function<void(int)>& task);
 
   /// All persistent network parameters in a stable order (actors, critics,
@@ -490,9 +510,26 @@ class HiMadrlTrainer : public Policy {
   bool nn_fallback_ = false;      ///< GEMMs downgraded to the naive kernels.
   bool channel_fallback_ = false; ///< Channel downgraded to the scalar path.
   int last_checkpoint_iter_ = -1; ///< Iteration of the newest auto-ckpt.
-  /// Optimize-phase workers; null until the first optimize phase.
+  /// Optimize-phase workers, which also run large collect forwards; null
+  /// until the first task needs them.
   std::unique_ptr<util::ThreadPool> optimize_pool_;
 };
+
+namespace internal {
+
+/// Where CollectRollouts runs the agents' actor forwards.
+enum class ForwardPlacement {
+  kBySize,  ///< HiMadrlTrainer's size rule (the default).
+  kCaller,  ///< Always one after another on the calling thread.
+  kLanes,   ///< Always as lanes of the optimize pool.
+};
+
+/// Test hook: forces the collect-forward placement of every trainer in the
+/// process, so both sides of the rule run on one configuration; kBySize
+/// restores the rule. Buffers and checkpoints never depend on it.
+void SetForwardPlacement(ForwardPlacement placement);
+
+}  // namespace internal
 
 }  // namespace agsc::core
 

@@ -1,6 +1,8 @@
 #include "core/rollout.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -24,38 +26,49 @@ void AgentRollout::Clear() {
 
 namespace {
 
+/// Moves `src`'s elements after `dst`'s. Into an empty `dst` the whole
+/// vector moves; otherwise each element does, so a row vector hands over
+/// its storage instead of being copied.
 template <typename T>
-void AppendVec(std::vector<T>& dst, const std::vector<T>& src) {
-  dst.insert(dst.end(), src.begin(), src.end());
+void AppendVec(std::vector<T>& dst, std::vector<T>&& src) {
+  if (dst.empty()) {
+    dst = std::move(src);
+  } else {
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  }
+  src.clear();
 }
 
 }  // namespace
 
-void AgentRollout::Append(const AgentRollout& other) {
-  AppendVec(obs, other.obs);
-  AppendVec(next_obs, other.next_obs);
-  AppendVec(action_dir, other.action_dir);
-  AppendVec(action_speed, other.action_speed);
-  AppendVec(logp_old, other.logp_old);
-  AppendVec(reward_ext, other.reward_ext);
-  AppendVec(reward_int, other.reward_int);
-  AppendVec(reward, other.reward);
-  AppendVec(reward_he, other.reward_he);
-  AppendVec(reward_ho, other.reward_ho);
-  AppendVec(he_neighbors, other.he_neighbors);
-  AppendVec(ho_neighbors, other.ho_neighbors);
-  AppendVec(done, other.done);
+void AgentRollout::Append(AgentRollout&& other) {
+  AppendVec(obs, std::move(other.obs));
+  AppendVec(next_obs, std::move(other.next_obs));
+  AppendVec(action_dir, std::move(other.action_dir));
+  AppendVec(action_speed, std::move(other.action_speed));
+  AppendVec(logp_old, std::move(other.logp_old));
+  AppendVec(reward_ext, std::move(other.reward_ext));
+  AppendVec(reward_int, std::move(other.reward_int));
+  AppendVec(reward, std::move(other.reward));
+  AppendVec(reward_he, std::move(other.reward_he));
+  AppendVec(reward_ho, std::move(other.reward_ho));
+  AppendVec(he_neighbors, std::move(other.he_neighbors));
+  AppendVec(ho_neighbors, std::move(other.ho_neighbors));
+  AppendVec(done, std::move(other.done));
 }
 
-void MultiAgentBuffer::Append(const MultiAgentBuffer& other) {
+void MultiAgentBuffer::Append(MultiAgentBuffer&& other) {
   if (other.agents.size() != agents.size()) {
     throw std::invalid_argument("MultiAgentBuffer::Append: agent count");
   }
-  for (size_t k = 0; k < agents.size(); ++k) agents[k].Append(other.agents[k]);
-  AppendVec(states, other.states);
-  AppendVec(next_states, other.next_states);
-  AppendVec(reward_all, other.reward_all);
-  AppendVec(done, other.done);
+  for (size_t k = 0; k < agents.size(); ++k) {
+    agents[k].Append(std::move(other.agents[k]));
+  }
+  AppendVec(states, std::move(other.states));
+  AppendVec(next_states, std::move(other.next_states));
+  AppendVec(reward_all, std::move(other.reward_all));
+  AppendVec(done, std::move(other.done));
 }
 
 nn::Tensor PackBatch(const std::vector<std::vector<float>>& rows,

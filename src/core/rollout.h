@@ -29,10 +29,10 @@ struct AgentRollout {
   size_t size() const { return obs.size(); }
   void Clear();
 
-  /// Appends every stream of `other` after this rollout's streams (used by
-  /// the vectorized sampler to merge per-worker rollouts in stable worker
-  /// order).
-  void Append(const AgentRollout& other);
+  /// Appends every stream of `other` after this rollout's streams, taking
+  /// over its rows instead of copying them (the sampler's merge of
+  /// per-worker rollouts in stable worker order). `other` is left empty.
+  void Append(AgentRollout&& other);
 
   /// Packs rows `indices` of `obs` into a batch tensor.
   nn::Tensor ObsBatch(const std::vector<int>& indices) const;
@@ -57,8 +57,9 @@ struct MultiAgentBuffer {
   void Clear();
 
   /// Appends `other` (same agent count) after this buffer's streams,
-  /// agent-by-agent and for the global-state streams.
-  void Append(const MultiAgentBuffer& other);
+  /// agent-by-agent and for the global-state streams. The rows move: no
+  /// observation or state is copied, and `other` is left empty.
+  void Append(MultiAgentBuffer&& other);
 
   nn::Tensor StateBatch(const std::vector<int>& indices) const;
   nn::Tensor NextStateBatch(const std::vector<int>& indices) const;

@@ -124,12 +124,13 @@ void Sampler::Collect(int episodes, const BatchActFn& act,
   const int w_count = num_workers_;
   auto st = std::make_shared<CollectState>(w_count, num_agents);
 
-  // Reusable scratch for the batched action calls — caller-thread only, so
+  // Reusable scratch for the batched action call — caller-thread only, so
   // it can stay on the stack.
-  std::vector<const std::vector<float>*> rows;
+  std::vector<const std::vector<std::vector<float>>*> obs;
   std::vector<util::Rng*> rngs;
-  std::vector<std::array<float, 2>> batch_actions;
-  std::vector<float> batch_logps;
+  std::vector<std::vector<std::array<float, 2>>> batch_actions(
+      static_cast<size_t>(num_agents));
+  std::vector<std::vector<float>> batch_logps(static_cast<size_t>(num_agents));
 
   const int rounds = (episodes + w_count - 1) / w_count;
   for (int r = 0; r < rounds; ++r) {
@@ -145,33 +146,38 @@ void Sampler::Collect(int episodes, const BatchActFn& act,
       if (st->run_ids.empty()) break;
       CheckStop(r, timeslot);
 
-      // One forward per agent covering all running workers, each row
-      // sampled from its own worker stream in ascending worker order.
+      // One action call for every agent covering all running workers, each
+      // row sampled from its own worker stream in ascending worker order.
+      obs.clear();
+      rngs.clear();
+      for (int w : st->run_ids) {
+        obs.push_back(&st->cur[static_cast<size_t>(w)].observations);
+        rngs.push_back(&sample_rng(w));
+      }
+      for (int k = 0; k < num_agents; ++k) {
+        batch_actions[static_cast<size_t>(k)].assign(st->run_ids.size(), {});
+        batch_logps[static_cast<size_t>(k)].assign(st->run_ids.size(), 0.0f);
+      }
+      act(obs, rngs, batch_actions, batch_logps);
       for (int k = 0; k < num_agents; ++k) {
         const size_t ki = static_cast<size_t>(k);
-        rows.clear();
-        rngs.clear();
-        for (int w : st->run_ids) {
-          rows.push_back(&st->cur[static_cast<size_t>(w)].observations[ki]);
-          rngs.push_back(&sample_rng(w));
-        }
-        batch_actions.assign(st->run_ids.size(), {});
-        batch_logps.assign(st->run_ids.size(), 0.0f);
-        act(k, rows, rngs, batch_actions, batch_logps);
         for (size_t i = 0; i < st->run_ids.size(); ++i) {
           const size_t w = static_cast<size_t>(st->run_ids[i]);
-          st->raw[w][ki] = batch_actions[i];
-          st->logps[w][ki] = batch_logps[i];
-          st->actions[w][ki] = {batch_actions[i][0], batch_actions[i][1]};
+          const std::array<float, 2>& a = batch_actions[ki][i];
+          st->raw[w][ki] = a;
+          st->logps[w][ki] = batch_logps[ki][i];
+          st->actions[w][ki] = {a[0], a[1]};
         }
       }
       StepWorkers(st, r, timeslot);
     }
   }
 
+  // Every transport call has returned, so no task writes st any more and
+  // the worker buffers can hand over their rows.
   for (int w = 0; w < w_count; ++w) {
     const size_t i = static_cast<size_t>(w);
-    buffer.Append(st->buffers[i]);
+    buffer.Append(std::move(st->buffers[i]));
     metrics.insert(metrics.end(), st->metrics[i].begin(),
                    st->metrics[i].end());
   }

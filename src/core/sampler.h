@@ -21,12 +21,14 @@ namespace agsc::core {
 ///  * episodes are dealt round-robin — worker w runs global episodes
 ///    w, w+W, w+2W, ... — so the active workers of every round form a prefix
 ///    0..active-1 of the worker indices;
-///  * each timeslot the per-agent actor forwards are batched ACROSS the
-///    running workers into one `BatchActFn` call per agent on the caller's
-///    thread (rows in ascending worker order, row i sampled from worker i's
-///    private stream only), then the transport steps every running worker;
+///  * each timeslot every agent's action selection is batched ACROSS the
+///    running workers into one `BatchActFn` call on the caller's thread
+///    (rows in ascending worker order, row i sampled from worker i's
+///    private stream only, agent by agent), then the transport steps every
+///    running worker;
 ///  * per-worker buffers and episode metrics are merged in stable
-///    worker-index order, independent of arrival or scheduling order;
+///    worker-index order, independent of arrival or scheduling order; the
+///    buffers' rows move into the caller's buffer, they are not copied;
 ///  * the RNG stream layout: worker 0 samples from the primary sampling
 ///    stream and steps on the primary environment's stream, both passed at
 ///    construction (so oracle checks and checkpoints see the same streams
@@ -39,17 +41,19 @@ namespace agsc::core {
 /// bit-identical buffers, metrics and checkpoints for the same pair.
 class Sampler {
  public:
-  /// Computes actions for agent `k` across workers in one batched call.
-  /// `obs_rows[i]` is the i-th running worker's observation of agent k (rows
-  /// in ascending worker order) and `rngs[i]` its private sampling stream;
-  /// implementations must draw row i's sampling noise from `rngs[i]` only,
-  /// in row order. Fills one (direction, speed) action and one
-  /// log-probability per row.
+  /// Computes one timeslot's actions for every agent across the running
+  /// workers in one call. Row i is the i-th running worker (ascending worker
+  /// order): `obs[i]` holds its observations, one per agent, and `rngs[i]`
+  /// is its private sampling stream. Implementations fill one (direction,
+  /// speed) action `actions_out[k][i]` and one log-probability
+  /// `logps_out[k][i]` per agent k and row (both come sized), and must draw
+  /// row i's sampling noise from `rngs[i]` only, agent by agent: all of
+  /// agent k's draws before any of agent k+1's.
   using BatchActFn = std::function<void(
-      int k, const std::vector<const std::vector<float>*>& obs_rows,
+      const std::vector<const std::vector<std::vector<float>>*>& obs,
       const std::vector<util::Rng*>& rngs,
-      std::vector<std::array<float, 2>>& actions_out,
-      std::vector<float>& logps_out)>;
+      std::vector<std::vector<std::array<float, 2>>>& actions_out,
+      std::vector<std::vector<float>>& logps_out)>;
 
   virtual ~Sampler();
 

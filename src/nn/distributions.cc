@@ -60,6 +60,31 @@ Variable DiagGaussian::LogProb(const Tensor& actions) const {
   return RowSum(per_dim);
 }
 
+void SampleDiagGaussianRow(const float* mean, const float* log_std, int dims,
+                           util::Rng& rng, float* action) {
+  for (int c = 0; c < dims; ++c) {
+    const float sigma = std::exp(log_std[c]);
+    action[c] = mean[c] + sigma * static_cast<float>(rng.Gaussian());
+  }
+}
+
+float DiagGaussianRowLogProb(const float* mean, const float* log_std,
+                             const float* action, int dims) {
+  // LogProb's graph, one element at a time: Sub, Exp(Neg) (Neg is a
+  // multiplication by -1), MulRowVector, SquareScale, AddRowVector,
+  // ScalarAdd, and RowSum's double accumulation.
+  double sum = 0.0;
+  for (int c = 0; c < dims; ++c) {
+    const float neg_log_std = log_std[c] * -1.0f;
+    const float z = (action[c] - mean[c]) * std::exp(neg_log_std);
+    float per_dim = -0.5f * (z * z);
+    per_dim += neg_log_std;
+    per_dim += -0.5f * kLogTwoPi;
+    sum += per_dim;
+  }
+  return static_cast<float>(sum);
+}
+
 Variable DiagGaussian::Entropy() const {
   const float d = static_cast<float>(dims());
   return ScalarAdd(Sum(log_std_), 0.5f * d * (1.0f + kLogTwoPi));

@@ -48,6 +48,21 @@ class DiagGaussian {
   Variable log_std_;  // 1 x D parameter.
 };
 
+/// Graph-free counterparts of DiagGaussian::SamplePerRow and LogProb for
+/// one row of `dims` columns, for callers that only need values (rollout
+/// action selection). They run the same float operations in the same
+/// order, so their results are bit-identical to the graph path's.
+
+/// Draws action[c] = mean[c] + exp(log_std[c]) * rng.Gaussian() for c =
+/// 0..dims-1, in column order: row r of SamplePerRow with rngs[r] = &rng,
+/// and the same draws from `rng`.
+void SampleDiagGaussianRow(const float* mean, const float* log_std, int dims,
+                           util::Rng& rng, float* action);
+
+/// log p(action) of one row: LogProb(actions).value()(r, 0) for that row.
+float DiagGaussianRowLogProb(const float* mean, const float* log_std,
+                             const float* action, int dims);
+
 /// Batched categorical distribution over logits (row-wise).
 class CategoricalDist {
  public:

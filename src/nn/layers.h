@@ -89,6 +89,7 @@ class Mlp : public Module {
 
   int in_features() const { return layers_.front().in_features(); }
   int out_features() const { return layers_.back().out_features(); }
+  const std::vector<Linear>& layers() const { return layers_; }
 
  private:
   std::vector<Linear> layers_;

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +104,97 @@ TEST(DiagGaussianTest, RejectsBadLogStdShape) {
   EXPECT_THROW(DiagGaussian(Variable::Constant(Tensor(2, 3)),
                             Variable::Constant(Tensor(1, 2))),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Graph-free row sampler and log-prob against the graph path, bit for bit.
+// ---------------------------------------------------------------------------
+
+float UniformFloat(util::Rng& rng, double lo, double hi) {
+  return static_cast<float>(rng.Uniform(lo, hi));
+}
+
+/// Compares bit patterns, so -0 against +0 and differing NaN payloads fail.
+bool SameBits(const float* a, const float* b, int n) {
+  return std::memcmp(a, b, sizeof(float) * static_cast<size_t>(n)) == 0;
+}
+
+TEST(DiagGaussianRowTest, SampleAndLogProbMatchGraphPathBitExactly) {
+  util::Rng gen(2024);
+  int mismatches = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int rows = trial % 2 == 0 ? 1 : 4;
+    const int dims = 1 + trial % 3;
+    Tensor mean(rows, dims);
+    for (int i = 0; i < mean.size(); ++i) mean[i] = UniformFloat(gen, -3, 3);
+    Tensor log_std(1, dims);
+    for (int c = 0; c < dims; ++c) log_std(0, c) = UniformFloat(gen, -5, 2);
+    // One stream per row, seeded from the trial; the graph path and the row
+    // functions each get their own copies.
+    std::vector<util::Rng> graph_rngs, row_rngs;
+    for (int r = 0; r < rows; ++r) {
+      graph_rngs.emplace_back(gen.NextU64());
+      row_rngs.push_back(graph_rngs.back());
+    }
+    std::vector<util::Rng*> graph_ptrs;
+    for (util::Rng& rng : graph_rngs) graph_ptrs.push_back(&rng);
+
+    const DiagGaussian dist(Variable::Constant(mean),
+                            Variable::Constant(log_std));
+    const Tensor sampled = dist.SamplePerRow(graph_ptrs);
+    const Tensor logp = dist.LogProb(sampled).value();
+    for (int r = 0; r < rows; ++r) {
+      std::vector<float> action(static_cast<size_t>(dims));
+      SampleDiagGaussianRow(mean.data() + r * dims, log_std.data(), dims,
+                            row_rngs[r], action.data());
+      const float row_logp = DiagGaussianRowLogProb(
+          mean.data() + r * dims, log_std.data(), action.data(), dims);
+      const float graph_logp = logp(r, 0);
+      if (!SameBits(action.data(), sampled.data() + r * dims, dims) ||
+          !SameBits(&row_logp, &graph_logp, 1)) {
+        ++mismatches;
+      }
+      // Both paths drew the same values from the row's stream, Box-Muller
+      // cache included.
+      EXPECT_EQ(row_rngs[r].SaveState(), graph_rngs[r].SaveState())
+          << "trial " << trial << " row " << r;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(DiagGaussianRowTest, LogProbMatchesGraphPathUpToEightSigmas) {
+  // Actions placed |z| <= 8 standard deviations from the mean over
+  // log_std in [-5, 2], so every term of the log-prob's sum varies widely
+  // and a reordered sum or a changed operation rounds differently.
+  util::Rng gen(77);
+  int mismatches = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int rows = trial % 2 == 0 ? 1 : 4;
+    const int dims = 1 + trial % 3;
+    Tensor log_std(1, dims);
+    for (int c = 0; c < dims; ++c) log_std(0, c) = UniformFloat(gen, -5, 2);
+    Tensor mean(rows, dims);
+    Tensor actions(rows, dims);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < dims; ++c) {
+        const float z = UniformFloat(gen, -8, 8);
+        mean(r, c) = UniformFloat(gen, -2, 2);
+        actions(r, c) = mean(r, c) + z * std::exp(log_std(0, c));
+      }
+    }
+    const DiagGaussian dist(Variable::Constant(mean),
+                            Variable::Constant(log_std));
+    const Tensor logp = dist.LogProb(actions).value();
+    for (int r = 0; r < rows; ++r) {
+      const float row_logp =
+          DiagGaussianRowLogProb(mean.data() + r * dims, log_std.data(),
+                                 actions.data() + r * dims, dims);
+      const float graph_logp = logp(r, 0);
+      if (!SameBits(&row_logp, &graph_logp, 1)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(CategoricalTest, ProbabilitiesSumToOne) {

@@ -26,6 +26,13 @@ set(_agsc_label_rows
   nn_kernel_test       "${_agsc_kernel_tests}"   "fast,kernel"
   tanh_kernel_test     "^TanhKernelTest\\.Stratified" "fast,kernel"
   util_test            "${_agsc_kernel_tests}"   "fast,kernel"
+  # Sampler determinism across transports and forward placements, the
+  # graph-free action sampler and the golden digests: `ctest -L rollout`.
+  vec_sampler_test     "."                       "fast,rollout"
+  proc_sampler_test    "."                       "slow,rollout"
+  golden_digest_test   "."                       "fast,rollout"
+  supervisor_test      "^SamplerSupervisionTest\\." "slow,rollout"
+  distributions_test   "^DiagGaussianRowTest\\."    "fast,rollout"
   # Admission, fairness, brownout and quarantine: `ctest -L overload`.
   dispatch_server_test "${_agsc_overload_tests}" "fast,overload"
   serving_soak_test    "${_agsc_overload_tests}" "slow,serving,overload"

@@ -115,16 +115,19 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
 }
 
 /// Same policy-free BatchActFn as vec_sampler_test: row i's action is a
-/// pure function of its private stream, drawn in row order.
-void DummyAct(int /*k*/, const std::vector<const std::vector<float>*>& rows,
-              const std::vector<util::Rng*>& rngs,
-              std::vector<std::array<float, 2>>& actions_out,
-              std::vector<float>& logps_out) {
+/// pure function of its private stream, drawn agent by agent in row order.
+void DummyAct(
+    const std::vector<const std::vector<std::vector<float>>*>& rows,
+    const std::vector<util::Rng*>& rngs,
+    std::vector<std::vector<std::array<float, 2>>>& actions_out,
+    std::vector<std::vector<float>>& logps_out) {
   ASSERT_EQ(rows.size(), rngs.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    actions_out[i] = {static_cast<float>(rngs[i]->Gaussian()),
-                      static_cast<float>(rngs[i]->Gaussian())};
-    logps_out[i] = static_cast<float>(i);
+  for (size_t k = 0; k < actions_out.size(); ++k) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      actions_out[k][i] = {static_cast<float>(rngs[i]->Gaussian()),
+                           static_cast<float>(rngs[i]->Gaussian())};
+      logps_out[k][i] = static_cast<float>(i);
+    }
   }
 }
 
@@ -613,6 +616,46 @@ TEST(ProcTrainerTest, CheckpointBytesMatchInProcessTrainer) {
     ASSERT_FALSE(vec_bytes.empty());
     EXPECT_EQ(vec_bytes, proc_bytes);
   }
+}
+
+TEST(ProcTrainerTest, ThousandPoiCollectMatchesInProcessBitExactly) {
+  // At 1000 PoIs agsc_train's default actors have a 1.47 MiB first layer,
+  // so the trainer runs its collect forwards in optimize-pool lanes. One
+  // short episode per agsc_worker process must give the buffer and metrics
+  // of an in-process collect whose forwards are forced onto the calling
+  // thread.
+  constexpr int kWorkers = 4;
+  const map::Dataset dataset =
+      map::BuildDataset(map::CampusId::kPurdue, 1000);
+  env::EnvConfig env_config;
+  env_config.num_timeslots = 8;
+  env_config.num_pois = 1000;
+  core::TrainConfig train;
+  train.episodes_per_iteration = kWorkers;
+  train.seed = 11;
+  train.verbose = false;
+
+  env::ScEnv proc_env(env_config, dataset, 11);
+  core::TrainConfig proc_train = train;
+  proc_train.proc_workers = kWorkers;
+  proc_train.worker_binary = AGSC_WORKER_BINARY;
+  core::HiMadrlTrainer proc(proc_env, proc_train);
+  ASSERT_TRUE(proc.CollectForwardsInLanes());
+  proc.CollectRollouts();
+
+  env::ScEnv vec_env(env_config, dataset, 11);
+  core::TrainConfig vec_train = train;
+  vec_train.num_workers = kWorkers;
+  using core::internal::ForwardPlacement;
+  core::internal::SetForwardPlacement(ForwardPlacement::kCaller);
+  core::HiMadrlTrainer vec(vec_env, vec_train);
+  EXPECT_FALSE(vec.CollectForwardsInLanes());
+  vec.CollectRollouts();
+  core::internal::SetForwardPlacement(ForwardPlacement::kBySize);
+
+  ASSERT_EQ(proc.buffer().size(), static_cast<size_t>(kWorkers * 8));
+  ExpectBuffersBitEqual(vec.buffer(), proc.buffer());
+  ASSERT_EQ(proc.buffer().agents[0].obs[0].size(), 3012u);
 }
 
 TEST(ProcTrainerTest, CrossModeResumeIsBitExact) {

@@ -95,15 +95,18 @@ struct ShutdownGuard {
 
 /// A policy-free BatchActFn (same shape as the sampler tests): each row's
 /// action is a pure function of that row's private stream.
-void DummyAct(int /*k*/, const std::vector<const std::vector<float>*>& rows,
-              const std::vector<util::Rng*>& rngs,
-              std::vector<std::array<float, 2>>& actions_out,
-              std::vector<float>& logps_out) {
+void DummyAct(
+    const std::vector<const std::vector<std::vector<float>>*>& rows,
+    const std::vector<util::Rng*>& rngs,
+    std::vector<std::vector<std::array<float, 2>>>& actions_out,
+    std::vector<std::vector<float>>& logps_out) {
   ASSERT_EQ(rows.size(), rngs.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    actions_out[i] = {static_cast<float>(rngs[i]->Gaussian()),
-                      static_cast<float>(rngs[i]->Gaussian())};
-    logps_out[i] = 0.0f;
+  for (size_t k = 0; k < actions_out.size(); ++k) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      actions_out[k][i] = {static_cast<float>(rngs[i]->Gaussian()),
+                           static_cast<float>(rngs[i]->Gaussian())};
+      logps_out[k][i] = 0.0f;
+    }
   }
 }
 

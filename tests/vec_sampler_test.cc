@@ -152,17 +152,20 @@ TEST(RngSplitTest, ChildDiffersFromParentStream) {
 // ---------------------------------------------------------------------------
 
 /// A policy-free BatchActFn: each row's action is a pure function of that
-/// row's private stream (one Gaussian per action dim, drawn in row order,
-/// exactly like the real sampler).
-void DummyAct(int /*k*/, const std::vector<const std::vector<float>*>& rows,
-              const std::vector<util::Rng*>& rngs,
-              std::vector<std::array<float, 2>>& actions_out,
-              std::vector<float>& logps_out) {
+/// row's private stream (one Gaussian per action dim, drawn agent by agent
+/// in row order, exactly like the real sampler).
+void DummyAct(
+    const std::vector<const std::vector<std::vector<float>>*>& rows,
+    const std::vector<util::Rng*>& rngs,
+    std::vector<std::vector<std::array<float, 2>>>& actions_out,
+    std::vector<std::vector<float>>& logps_out) {
   ASSERT_EQ(rows.size(), rngs.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    actions_out[i] = {static_cast<float>(rngs[i]->Gaussian()),
-                      static_cast<float>(rngs[i]->Gaussian())};
-    logps_out[i] = static_cast<float>(i);
+  for (size_t k = 0; k < actions_out.size(); ++k) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      actions_out[k][i] = {static_cast<float>(rngs[i]->Gaussian()),
+                           static_cast<float>(rngs[i]->Gaussian())};
+      logps_out[k][i] = static_cast<float>(i);
+    }
   }
 }
 
@@ -296,10 +299,12 @@ void SequentialCollect(
 }
 
 TEST(VecSamplerTest, SingleWorkerMatchesSequentialReferenceBitExactly) {
-  // The sampler's side is the trainer's BatchAct path: one Dist over the
-  // stacked rows, SamplePerRow from each row's stream, then LogProb. With
-  // one worker every batch has one row, so it must reproduce the per-agent
-  // Act calls bit-for-bit: same draw order, same row math.
+  // The sampler's side is the trainer's BatchAct path: one tape-free
+  // Mlp::Infer per agent over the stacked rows, then, agent by agent, each
+  // row's sample from its stream and its log-probability without a graph.
+  // With one worker every batch has one row, so it must reproduce the
+  // per-agent graph-path Act calls bit-for-bit: same draw order, same row
+  // math.
   env::ScEnv ref_env(SmallEnvConfig(), SmallDataset(), 11);
   const auto actors = MakeActors(ref_env);
   util::Rng ref_rng(11);
@@ -308,22 +313,27 @@ TEST(VecSamplerTest, SingleWorkerMatchesSequentialReferenceBitExactly) {
   SequentialCollect(ref_env, actors, ref_rng, 3, ref_buffer, ref_metrics);
 
   const auto batch_act =
-      [&actors](int k, const std::vector<const std::vector<float>*>& rows,
-                const std::vector<util::Rng*>& rngs,
-                std::vector<std::array<float, 2>>& actions_out,
-                std::vector<float>& logps_out) {
+      [&actors](
+          const std::vector<const std::vector<std::vector<float>>*>& rows,
+          const std::vector<util::Rng*>& rngs,
+          std::vector<std::vector<std::array<float, 2>>>& actions_out,
+          std::vector<std::vector<float>>& logps_out) {
         const int n = static_cast<int>(rows.size());
-        const int dim = static_cast<int>(rows[0]->size());
-        nn::Tensor batch(n, dim);
-        for (int r = 0; r < n; ++r) {
-          for (int c = 0; c < dim; ++c) batch(r, c) = (*rows[r])[c];
-        }
-        const nn::DiagGaussian dist = actors[k]->Dist(batch);
-        const nn::Tensor sampled = dist.SamplePerRow(rngs);
-        const nn::Tensor logp = dist.LogProb(sampled).value();
-        for (int r = 0; r < n; ++r) {
-          actions_out[r] = {sampled(r, 0), sampled(r, 1)};
-          logps_out[r] = logp(r, 0);
+        for (size_t k = 0; k < actors.size(); ++k) {
+          const int dim = static_cast<int>((*rows[0])[k].size());
+          nn::Tensor batch(n, dim);
+          for (int r = 0; r < n; ++r) {
+            for (int c = 0; c < dim; ++c) batch(r, c) = (*rows[r])[k][c];
+          }
+          const nn::Tensor mean = actors[k]->mean_net().Infer(batch);
+          const float* log_std = actors[k]->log_std().value().data();
+          for (int r = 0; r < n; ++r) {
+            const float* row_mean = mean.data() + r * mean.cols();
+            float* action = actions_out[k][r].data();
+            nn::SampleDiagGaussianRow(row_mean, log_std, 2, *rngs[r], action);
+            logps_out[k][r] =
+                nn::DiagGaussianRowLogProb(row_mean, log_std, action, 2);
+          }
         }
       };
   env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
@@ -450,6 +460,77 @@ TEST(VecSamplerTrainerTest, WorkerCountMismatchOnLoadIsRejected) {
   }
   std::remove(w3_path.c_str());
   std::remove(w1_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Collect-forward placement: the calling thread or optimize-pool lanes.
+// ---------------------------------------------------------------------------
+
+/// Forces the collect-forward placement for one scope, then restores the
+/// size rule.
+class ScopedForwardPlacement {
+ public:
+  explicit ScopedForwardPlacement(core::internal::ForwardPlacement placement) {
+    core::internal::SetForwardPlacement(placement);
+  }
+  ~ScopedForwardPlacement() {
+    core::internal::SetForwardPlacement(
+        core::internal::ForwardPlacement::kBySize);
+  }
+};
+
+TEST(VecSamplerTrainerTest, ForwardPlacementLeavesBuffersAndCheckpointsEqual) {
+  using core::internal::ForwardPlacement;
+  struct Run {
+    core::MultiAgentBuffer buffer{0};
+    std::string checkpoint;
+  };
+  for (const bool share : {false, true}) {
+    for (const int workers : {1, 3}) {
+      SCOPED_TRACE("share_params=" + std::to_string(share) +
+                   " workers=" + std::to_string(workers));
+      const auto run = [&](ForwardPlacement placement) {
+        const ScopedForwardPlacement scoped(placement);
+        env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+        core::TrainConfig config = SmallTrainConfig(workers, 4);
+        config.share_params = share;
+        core::HiMadrlTrainer trainer(env, config);
+        EXPECT_EQ(trainer.CollectForwardsInLanes(),
+                  placement == ForwardPlacement::kLanes);
+        trainer.TrainTo(2);
+        const std::string path = TempPath("placement.agsc");
+        EXPECT_TRUE(trainer.SaveCheckpoint(path));
+        Run out{trainer.buffer(), ReadFileBytes(path)};
+        std::remove(path.c_str());
+        return out;
+      };
+      const Run caller = run(ForwardPlacement::kCaller);
+      const Run lanes = run(ForwardPlacement::kLanes);
+      ASSERT_EQ(caller.buffer.size(), static_cast<size_t>(4 * kTimeslots));
+      ExpectBuffersBitEqual(caller.buffer, lanes.buffer);
+      ASSERT_FALSE(caller.checkpoint.empty());
+      EXPECT_EQ(caller.checkpoint, lanes.checkpoint);
+    }
+  }
+}
+
+TEST(VecSamplerTrainerTest, ForwardPlacementRuleFollowsFirstLayerSize) {
+  // agsc_train's default networks: a 312 x 128 first layer (156 KiB) at 100
+  // PoIs stays on the calling thread, a 3012 x 128 one (1.47 MiB) at 1000
+  // PoIs runs in lanes.
+  for (const int pois : {100, 1000}) {
+    const map::Dataset dataset =
+        map::BuildDataset(map::CampusId::kPurdue, pois);
+    env::EnvConfig env_config;
+    env_config.num_timeslots = kTimeslots;
+    env_config.num_pois = pois;
+    env::ScEnv env(env_config, dataset, 11);
+    core::TrainConfig config;
+    config.seed = 11;
+    core::HiMadrlTrainer trainer(env, config);
+    EXPECT_EQ(trainer.CollectForwardsInLanes(), pois == 1000)
+        << "pois=" << pois;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/crc_reference.h"
 #include "util/ipc.h"
 #include "util/net.h"
 #include "util/rng.h"
@@ -70,8 +71,12 @@ std::string Encode(const std::vector<Spec>& frames,
     std::memcpy(&header[4], &frames[i].type, 4);
     std::memcpy(&header[8], &seq, 8);
     std::memcpy(&header[16], &len, 4);
-    uint32_t crc = Crc32(header.data() + 4, 16);
-    crc = Crc32(frames[i].payload.data(), frames[i].payload.size(), crc);
+    // The independent reference, not the Crc32 under test: payloads past
+    // kDirectReadBytes take Crc32's fold, and a wrong but self-consistent
+    // fold would pass a stream built with it.
+    uint32_t crc = testing::BytewiseCrc32(header.data() + 4, 16);
+    crc = testing::BytewiseCrc32(frames[i].payload.data(),
+                                 frames[i].payload.size(), crc);
     std::memcpy(&header[20], &crc, 4);
     bytes += header + frames[i].payload;
     boundaries->push_back(bytes.size());

@@ -18,9 +18,11 @@ set(_agsc_overload_tests "Overload|Fairness|Admission|Quarantine|Flood|Shed|Brow
 set(_agsc_label_rows
   # Soak campaign: `ctest -L serving`.
   serving_soak_test    "."                       "slow,serving"
-  # Socket edge cases and the frame reader fuzz: `ctest -L net`.
+  # Socket edge cases, the frame reader fuzz and the worker-protocol
+  # payload decoder fuzz: `ctest -L net`.
   net_test             "."                       "fast,net"
   frame_fuzz_test      "."                       "fast,net"
+  worker_protocol_fuzz_test "."                  "fast,net"
   # GEMM tier sweep, tanh and Adam at every tier, byte-identical
   # checkpoints across kernels, CRC-32: `ctest -L kernel`.
   nn_kernel_test       "${_agsc_kernel_tests}"   "fast,kernel"

@@ -1,13 +1,13 @@
 // Serving-path benchmark: sustained request throughput and batching
 // latency of core/DispatchServer. For each (sessions, clients, max_batch)
 // configuration, client threads step their episode sessions through the
-// batched inference path for a fixed wall-clock budget; the server's own
-// latency window supplies p50/p99. Each configuration is measured twice:
-// `direct` (in-process DispatchServer calls) and `tcp` (the same requests
-// framed through core/ServeFrontend + ServeClient over loopback), so the
-// delta is the full network-frontend overhead — framing, CRC, syscalls,
-// and the per-connection handler hop. Results are recorded in
-// BENCH_serving.json at the repo root.
+// batched inference path with in-process DispatchServer calls for a fixed
+// wall-clock budget; the server's own latency window supplies p50/p99.
+// Results are recorded in BENCH_serving.json at the repo root. The TCP
+// frontend is measured by perfbench's `serve_act_tcp` workload
+// (perfbench/run.py), which pipelines requests on each connection as real
+// clients do; perfbench runs neither these in-process configurations nor
+// the offered-load sweep below.
 //
 // A second phase sweeps OFFERED load past the saturation point: open-loop
 // submitter threads pace requests at a fixed arrival rate (0.5x..2x the
@@ -28,12 +28,10 @@
 //   AGSC_BENCH_SCALE=paper   longer measurement window per configuration
 //   AGSC_BENCH_TIMESLOTS, AGSC_BENCH_POIS   override the env scale
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <future>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +39,6 @@
 #include "bench/bench_common.h"
 #include "core/dispatch_server.h"
 #include "core/policy_snapshot.h"
-#include "core/serve_protocol.h"
 #include "env/sc_env.h"
 #include "nn/tensor.h"
 #include "util/build_info.h"
@@ -58,7 +55,6 @@ struct Combo {
 
 struct Result {
   Combo combo;
-  const char* transport = "direct";
   double seconds = 0.0;
   uint64_t requests = 0;
   double req_per_sec = 0.0;
@@ -68,7 +64,7 @@ struct Result {
 };
 
 Result Measure(const env::ScEnv& env, const core::HiMadrlTrainer& trainer,
-               const Combo& combo, double budget_sec, bool over_tcp) {
+               const Combo& combo, double budget_sec) {
   core::DispatchConfig config;
   config.num_sessions = combo.sessions;
   config.max_batch = combo.max_batch;
@@ -77,49 +73,17 @@ Result Measure(const env::ScEnv& env, const core::HiMadrlTrainer& trainer,
   server.PublishSnapshot(core::PolicySnapshot::FromTrainer(trainer, "<live>"));
   server.Start();
 
-  std::unique_ptr<core::ServeFrontend> frontend;
-  if (over_tcp) {
-    core::ServeFrontend::Options fopts;
-    fopts.listen_address = "127.0.0.1:0";
-    frontend = std::make_unique<core::ServeFrontend>(server, fopts);
-    frontend->Start();
-  }
-
   const auto start = std::chrono::steady_clock::now();
   const auto deadline =
       start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(budget_sec));
-  // TCP mode records *client-observed* round-trip latencies (framing + CRC
-  // + syscalls + dispatch), one vector per client, merged after the join.
-  std::vector<std::vector<double>> rtt_ms(
-      static_cast<size_t>(combo.clients));
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(combo.clients));
   for (int c = 0; c < combo.clients; ++c) {
     clients.emplace_back([&, c] {
       int session = c % server.num_sessions();
-      core::ServeClient client;
-      if (over_tcp &&
-          !client.Connect("127.0.0.1", frontend->bound_port(),
-                          /*timeout_ms=*/5000)) {
-        std::cerr << "  tcp client " << c << ": connect failed\n";
-        return;
-      }
       while (std::chrono::steady_clock::now() < deadline) {
-        core::DispatchResult result;
-        if (over_tcp) {
-          const auto t0 = std::chrono::steady_clock::now();
-          if (!client.StepSession(session, /*timeout_ms=*/30000, result)) {
-            break;
-          }
-          rtt_ms[static_cast<size_t>(c)].push_back(
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
-        } else {
-          result = server.StepSession(session);
-        }
-        if (result.shutdown) break;
+        if (server.StepSession(session).shutdown) break;
         session = (session + combo.clients) % server.num_sessions();
       }
     });
@@ -128,29 +92,16 @@ Result Measure(const env::ScEnv& env, const core::HiMadrlTrainer& trainer,
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (frontend != nullptr) frontend->Stop();
   server.Stop();
 
   const core::DispatchStats stats = server.Stats();
   Result r;
   r.combo = combo;
-  r.transport = over_tcp ? "tcp" : "direct";
   r.seconds = seconds;
   r.requests = stats.requests_ok;
   r.req_per_sec = seconds > 0 ? stats.requests_ok / seconds : 0.0;
   r.p50_ms = stats.latency_p50_ms;
   r.p99_ms = stats.latency_p99_ms;
-  if (over_tcp) {
-    std::vector<double> all;
-    for (const std::vector<double>& v : rtt_ms) {
-      all.insert(all.end(), v.begin(), v.end());
-    }
-    if (!all.empty()) {
-      std::sort(all.begin(), all.end());
-      r.p50_ms = all[all.size() / 2];
-      r.p99_ms = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-    }
-  }
   r.rows_per_batch =
       stats.batches > 0 ? static_cast<double>(stats.rows) / stats.batches : 0.0;
   return r;
@@ -343,13 +294,10 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   for (const Combo& combo : combos) {
-    for (const bool over_tcp : {false, true}) {
-      std::cerr << "  measuring sessions=" << combo.sessions
-                << " clients=" << combo.clients
-                << " max_batch=" << combo.max_batch
-                << (over_tcp ? " over tcp" : " direct") << "...\n";
-      results.push_back(Measure(env, trainer, combo, budget_sec, over_tcp));
-    }
+    std::cerr << "  measuring sessions=" << combo.sessions
+              << " clients=" << combo.clients
+              << " max_batch=" << combo.max_batch << "...\n";
+    results.push_back(Measure(env, trainer, combo, budget_sec));
   }
 
   // Offered-load sweep: find the Act path's saturation capacity with a
@@ -372,12 +320,12 @@ int main(int argc, char** argv) {
                                        mult * capacity, budget_sec));
   }
 
-  util::Table table({"sessions", "clients", "max_batch", "transport", "req/s",
-                     "p50_ms", "p99_ms", "rows/batch"});
+  util::Table table({"sessions", "clients", "max_batch", "req/s", "p50_ms",
+                     "p99_ms", "rows/batch"});
   for (const Result& r : results) {
     table.AddRow({std::to_string(r.combo.sessions),
                   std::to_string(r.combo.clients),
-                  std::to_string(r.combo.max_batch), r.transport,
+                  std::to_string(r.combo.max_batch),
                   util::FormatDouble(r.req_per_sec, 1),
                   util::FormatDouble(r.p50_ms, 4),
                   util::FormatDouble(r.p99_ms, 4),
@@ -416,7 +364,7 @@ int main(int argc, char** argv) {
     std::cout << "    {\"sessions\": " << r.combo.sessions
               << ", \"clients\": " << r.combo.clients
               << ", \"max_batch\": " << r.combo.max_batch
-              << ", \"transport\": \"" << r.transport << "\""
+              << ", \"transport\": \"direct\""
               << ", \"requests\": " << r.requests
               << ", \"seconds\": " << r.seconds
               << ", \"req_per_sec\": " << r.req_per_sec

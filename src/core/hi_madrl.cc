@@ -1461,39 +1461,45 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
 bool HiMadrlTrainer::LoadLatestCheckpoint(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  std::vector<std::string> candidates;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt_", 0) == 0 && name.size() > 5 &&
-        name.ends_with(".agsc")) {
-      candidates.push_back(entry.path().string());
-    }
-  }
+  std::vector<fs::path> candidates = ListCheckpointFiles(dir, ec);
   if (ec) {
     AGSC_LOG(kError) << "checkpoint dir " << dir << ": " << ec.message();
     return false;
   }
-  // Newest first (zero-padded iteration numbers sort lexicographically).
-  std::sort(candidates.rbegin(), candidates.rend());
+  std::reverse(candidates.begin(), candidates.end());  // Newest first.
   // Honor the `latest` pointer when it names an existing candidate.
   std::ifstream latest_in(fs::path(dir) / "latest");
   std::string latest_name;
   if (latest_in && std::getline(latest_in, latest_name)) {
-    const std::string latest_path = (fs::path(dir) / latest_name).string();
-    auto it = std::find(candidates.begin(), candidates.end(), latest_path);
+    auto it = std::find(candidates.begin(), candidates.end(),
+                        fs::path(dir) / latest_name);
     if (it != candidates.end()) std::rotate(candidates.begin(), it, it + 1);
   }
-  for (const std::string& path : candidates) {
-    if (LoadCheckpoint(path)) {
-      AGSC_LOG(kInfo) << "resumed from checkpoint " << path << " (iteration "
-                      << iteration_ << ")";
+  for (const fs::path& path : candidates) {
+    if (LoadCheckpoint(path.string())) {
+      AGSC_LOG(kInfo) << "resumed from checkpoint " << path.string()
+                      << " (iteration " << iteration_ << ")";
       return true;
     }
-    AGSC_LOG(kWarning) << "checkpoint " << path
+    AGSC_LOG(kWarning) << "checkpoint " << path.string()
                        << " failed validation; falling back to an older one";
   }
   AGSC_LOG(kError) << "no loadable checkpoint in " << dir;
   return false;
+}
+
+std::vector<std::filesystem::path> ListCheckpointFiles(const std::string& dir,
+                                                       std::error_code& ec) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("ckpt_") && name.ends_with(".agsc")) {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 void HiMadrlTrainer::WriteAutoCheckpoint() {
@@ -1511,15 +1517,9 @@ void HiMadrlTrainer::WriteAutoCheckpoint() {
   last_checkpoint_iter_ = iteration_;
   util::AtomicWriteFileRetry((dir / "latest").string(),
                              std::string(name) + "\n", config_.io_retry);
-  // Keep-last-K retention over ckpt_*.agsc files.
-  std::vector<fs::path> retained;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (fname.rfind("ckpt_", 0) == 0 && fname.ends_with(".agsc")) {
-      retained.push_back(entry.path());
-    }
-  }
-  std::sort(retained.begin(), retained.end());
+  // Keep-last-K retention over the checkpoint files, oldest first.
+  const std::vector<fs::path> retained =
+      ListCheckpointFiles(config_.checkpoint_dir, ec);
   const size_t keep = static_cast<size_t>(std::max(1, config_.checkpoint_keep));
   for (size_t i = 0; i + keep < retained.size(); ++i) {
     fs::remove(retained[i], ec);

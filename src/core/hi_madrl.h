@@ -2,10 +2,12 @@
 #define AGSC_CORE_HI_MADRL_H_
 
 #include <cstddef>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -514,6 +516,13 @@ class HiMadrlTrainer : public Policy {
   /// until the first task needs them.
   std::unique_ptr<util::ThreadPool> optimize_pool_;
 };
+
+/// The auto-checkpoint files (ckpt_<iteration>.agsc, written by
+/// --checkpoint-dir runs) in `dir`, in name order, which is iteration order
+/// because the number is zero-padded. Empty, with `ec` set, when `dir`
+/// cannot be listed.
+std::vector<std::filesystem::path> ListCheckpointFiles(const std::string& dir,
+                                                       std::error_code& ec);
 
 namespace internal {
 

@@ -1,5 +1,7 @@
 #include "core/worker_protocol.h"
 
+#include <tuple>
+
 #include "util/ipc.h"
 
 namespace agsc::core {
@@ -55,56 +57,48 @@ bool GetActions(WireReader& r, WorkerActions& actions) {
   return r.ok();
 }
 
+// Every EnvConfig field in declaration order: the kMsgInit layout after
+// the version and campus words. Both Init codecs walk this one list, so a
+// field reaches workers only once it is listed here (with a
+// kWorkerProtocolVersion bump).
+using Env = env::EnvConfig;
+constexpr auto kEnvFields = std::make_tuple(
+    &Env::num_timeslots, &Env::tau_move, &Env::tau_coll, &Env::num_pois,
+    &Env::initial_data_gbit, &Env::num_uavs, &Env::num_ugvs, &Env::uav_vmax,
+    &Env::ugv_vmax, &Env::uav_height, &Env::uav_energy_kj,
+    &Env::ugv_energy_kj, &Env::uav_idle_power_w, &Env::uav_move_power_w,
+    &Env::ugv_idle_power_w, &Env::ugv_move_power_w, &Env::num_subchannels,
+    &Env::bandwidth_hz, &Env::noise_psd, &Env::alpha1, &Env::alpha2,
+    &Env::eta_los_db, &Env::eta_nlos_db, &Env::omega_los, &Env::beta_los,
+    &Env::rho_uav_w, &Env::rho_poi_w, &Env::sinr_threshold_db,
+    &Env::throughput_factor, &Env::medium_access, &Env::rayleigh_mean_gain,
+    &Env::rayleigh_fading, &Env::omega_coll, &Env::omega_move,
+    &Env::observe_range_fraction, &Env::neighbor_range_fraction,
+    &Env::record_event_log, &Env::use_spatial_index,
+    &Env::use_channel_batch, &Env::env_fast_math);
+
+void PutField(WireWriter& w, int v) { w.I32(v); }
+void PutField(WireWriter& w, double v) { w.F64(v); }
+void PutField(WireWriter& w, bool v) { w.Bool(v); }
+void PutField(WireWriter& w, env::MediumAccess v) {
+  w.U32(static_cast<uint32_t>(v));
+}
+
+void GetField(WireReader& r, int& v) { v = r.I32(); }
+void GetField(WireReader& r, double& v) { v = r.F64(); }
+void GetField(WireReader& r, bool& v) { v = r.Bool(); }
+void GetField(WireReader& r, env::MediumAccess& v) {
+  v = static_cast<env::MediumAccess>(r.U32());
+}
+
 }  // namespace
 
 std::string EncodeWorkerInit(const WorkerInit& init) {
   WireWriter w;
   w.U32(kWorkerProtocolVersion);
   w.U32(static_cast<uint32_t>(init.campus));
-  const env::EnvConfig& c = init.config;
-  // Every EnvConfig field, declaration order. The decoder's Done() check
-  // turns any drift between this list and the struct into a loud reject
-  // at spawn instead of a silent behavioral divergence.
-  w.I32(c.num_timeslots);
-  w.F64(c.tau_move);
-  w.F64(c.tau_coll);
-  w.I32(c.num_pois);
-  w.F64(c.initial_data_gbit);
-  w.I32(c.num_uavs);
-  w.I32(c.num_ugvs);
-  w.F64(c.uav_vmax);
-  w.F64(c.ugv_vmax);
-  w.F64(c.uav_height);
-  w.F64(c.uav_energy_kj);
-  w.F64(c.ugv_energy_kj);
-  w.F64(c.uav_idle_power_w);
-  w.F64(c.uav_move_power_w);
-  w.F64(c.ugv_idle_power_w);
-  w.F64(c.ugv_move_power_w);
-  w.I32(c.num_subchannels);
-  w.F64(c.bandwidth_hz);
-  w.F64(c.noise_psd);
-  w.F64(c.alpha1);
-  w.F64(c.alpha2);
-  w.F64(c.eta_los_db);
-  w.F64(c.eta_nlos_db);
-  w.F64(c.omega_los);
-  w.F64(c.beta_los);
-  w.F64(c.rho_uav_w);
-  w.F64(c.rho_poi_w);
-  w.F64(c.sinr_threshold_db);
-  w.F64(c.throughput_factor);
-  w.U32(static_cast<uint32_t>(c.medium_access));
-  w.F64(c.rayleigh_mean_gain);
-  w.Bool(c.rayleigh_fading);
-  w.F64(c.omega_coll);
-  w.F64(c.omega_move);
-  w.F64(c.observe_range_fraction);
-  w.F64(c.neighbor_range_fraction);
-  w.Bool(c.record_event_log);
-  w.Bool(c.use_spatial_index);
-  w.Bool(c.use_channel_batch);
-  w.Bool(c.env_fast_math);
+  std::apply([&](auto... field) { (PutField(w, init.config.*field), ...); },
+             kEnvFields);
   return w.Take();
 }
 
@@ -117,51 +111,11 @@ bool DecodeWorkerInit(const std::string& payload, WorkerInit& out) {
   }
   out.campus = static_cast<map::CampusId>(campus);
   env::EnvConfig& c = out.config;
-  c.num_timeslots = r.I32();
-  c.tau_move = r.F64();
-  c.tau_coll = r.F64();
-  c.num_pois = r.I32();
-  c.initial_data_gbit = r.F64();
-  c.num_uavs = r.I32();
-  c.num_ugvs = r.I32();
-  c.uav_vmax = r.F64();
-  c.ugv_vmax = r.F64();
-  c.uav_height = r.F64();
-  c.uav_energy_kj = r.F64();
-  c.ugv_energy_kj = r.F64();
-  c.uav_idle_power_w = r.F64();
-  c.uav_move_power_w = r.F64();
-  c.ugv_idle_power_w = r.F64();
-  c.ugv_move_power_w = r.F64();
-  c.num_subchannels = r.I32();
-  c.bandwidth_hz = r.F64();
-  c.noise_psd = r.F64();
-  c.alpha1 = r.F64();
-  c.alpha2 = r.F64();
-  c.eta_los_db = r.F64();
-  c.eta_nlos_db = r.F64();
-  c.omega_los = r.F64();
-  c.beta_los = r.F64();
-  c.rho_uav_w = r.F64();
-  c.rho_poi_w = r.F64();
-  c.sinr_threshold_db = r.F64();
-  c.throughput_factor = r.F64();
-  const uint32_t medium = r.U32();
-  if (!r.ok() || medium > static_cast<uint32_t>(env::MediumAccess::kOfdma)) {
-    return false;
-  }
-  c.medium_access = static_cast<env::MediumAccess>(medium);
-  c.rayleigh_mean_gain = r.F64();
-  c.rayleigh_fading = r.Bool();
-  c.omega_coll = r.F64();
-  c.omega_move = r.F64();
-  c.observe_range_fraction = r.F64();
-  c.neighbor_range_fraction = r.F64();
-  c.record_event_log = r.Bool();
-  c.use_spatial_index = r.Bool();
-  c.use_channel_batch = r.Bool();
-  c.env_fast_math = r.Bool();
-  return r.Done();
+  std::apply([&](auto... field) { (GetField(r, c.*field), ...); },
+             kEnvFields);
+  return static_cast<uint32_t>(c.medium_access) <=
+             static_cast<uint32_t>(env::MediumAccess::kOfdma) &&
+         r.Done();
 }
 
 std::string EncodeWorkerRegister(const WorkerRegister& reg) {

@@ -11,7 +11,9 @@
 // -D_GLIBCXX_ASSERTIONS) checks on every mutant. Nor does it size a
 // container by a count the bytes cannot hold: this binary replaces
 // operator new to record the largest single allocation of each mutant's
-// round trip.
+// round trip. The Init payload's bytes are also pinned, for the default
+// config and for one whose every field differs from its default and from
+// the other fields of its type.
 
 #include <algorithm>
 #include <array>
@@ -32,6 +34,7 @@
 #include "env/config.h"
 #include "env/sc_env.h"
 #include "map/campus.h"
+#include "tests/crc_reference.h"
 #include "util/rng.h"
 
 namespace {
@@ -338,6 +341,64 @@ TEST(WorkerProtocolFuzzTest, InflatedLengthPrefixesRejectOrRoundTrip) {
       }
     }
   }
+}
+
+// Every EnvConfig field. The test's own list: the Init codecs' field list
+// sets the wire order, and a reordered, dropped or retyped field there
+// changes the pinned lengths and CRC-32s below.
+#define AGSC_ENV_CONFIG_FIELDS(X)                                          \
+  X(num_timeslots) X(tau_move) X(tau_coll) X(num_pois) X(initial_data_gbit) \
+  X(num_uavs) X(num_ugvs) X(uav_vmax) X(ugv_vmax) X(uav_height)             \
+  X(uav_energy_kj) X(ugv_energy_kj) X(uav_idle_power_w) X(uav_move_power_w) \
+  X(ugv_idle_power_w) X(ugv_move_power_w) X(num_subchannels)               \
+  X(bandwidth_hz) X(noise_psd) X(alpha1) X(alpha2) X(eta_los_db)            \
+  X(eta_nlos_db) X(omega_los) X(beta_los) X(rho_uav_w) X(rho_poi_w)         \
+  X(sinr_threshold_db) X(throughput_factor) X(medium_access)                \
+  X(rayleigh_mean_gain) X(rayleigh_fading) X(omega_coll) X(omega_move)      \
+  X(observe_range_fraction) X(neighbor_range_fraction) X(record_event_log)  \
+  X(use_spatial_index) X(use_channel_batch) X(env_fast_math)
+
+// The k-th field's value in DistinctInit: unequal to its default and to
+// every other field of its type, so two swapped fields cannot round-trip.
+void SetDistinct(int& v, int k) { v = 1000 + k; }
+void SetDistinct(double& v, int k) { v = 1000.25 + k; }
+void SetDistinct(bool& v, int) { v = !v; }
+void SetDistinct(env::MediumAccess& v, int) { v = env::MediumAccess::kTdma; }
+
+WorkerInit DistinctInit() {
+  WorkerInit init;
+  init.campus = map::CampusId::kNcsu;
+  int k = 0;
+#define AGSC_SET_DISTINCT(field) SetDistinct(init.config.field, k++);
+  AGSC_ENV_CONFIG_FIELDS(AGSC_SET_DISTINCT)
+#undef AGSC_SET_DISTINCT
+  return init;
+}
+
+uint32_t PayloadCrc(const std::string& payload) {
+  return testing::BytewiseCrc32(payload.data(), payload.size());
+}
+
+TEST(WorkerProtocolInitTest, PayloadBytesArePinned) {
+  const std::string defaults = EncodeWorkerInit(WorkerInit{});
+  const std::string distinct = EncodeWorkerInit(DistinctInit());
+  // Version and campus words, 5 I32 and 29 F64 fields, the medium and
+  // 5 Bool words.
+  EXPECT_EQ(defaults.size(), 284u);
+  EXPECT_EQ(PayloadCrc(defaults), 0x2B0D8ABFu);
+  EXPECT_EQ(distinct.size(), 284u);
+  EXPECT_EQ(PayloadCrc(distinct), 0xB191A220u);
+}
+
+TEST(WorkerProtocolInitTest, EveryFieldRoundTrips) {
+  const WorkerInit sent = DistinctInit();
+  WorkerInit got;
+  ASSERT_TRUE(DecodeWorkerInit(EncodeWorkerInit(sent), got));
+  EXPECT_EQ(got.campus, sent.campus);
+#define AGSC_EXPECT_FIELD(field) \
+  EXPECT_EQ(got.config.field, sent.config.field) << #field;
+  AGSC_ENV_CONFIG_FIELDS(AGSC_EXPECT_FIELD)
+#undef AGSC_EXPECT_FIELD
 }
 
 }  // namespace

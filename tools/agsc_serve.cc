@@ -1,19 +1,6 @@
 // Low-latency policy dispatch service: the serving counterpart of
-// agsc_train.
-//
-//   agsc_serve --snapshot FILE | --snapshot-dir DIR [--watch]
-//              [--watch-poll-ms MS] [--max-batch N] [--deadline-ms MS]
-//              [--max-queue N] [--per-client-inflight N] [--admission 0|1]
-//              [--sessions S] [--clients C] [--requests N]
-//              [--duration-sec S] [--stats-json FILE]
-//              [--listen HOST:PORT] [--port-file FILE]
-//              [--write-budget-ms MS] [--listen-sndbuf BYTES]
-//              [--max-pipeline N]
-//              [--campus purdue|ncsu] [--timeslots T] [--pois I]
-//              [--uavs U] [--ugvs G] [--subchannels Z] [--height M]
-//              [--threshold DB] [--medium noma|tdma|ofdma]
-//              [--no-eoi] [--no-copo] [--plain-copo] [--mappo]
-//              [--seed S] [--quiet] [--version]
+// agsc_train. `agsc_serve --help` lists the flags (tools/cli.cc holds the
+// table).
 //
 // Boots a DispatchServer over `--sessions` concurrent episode sessions
 // (env replicas on split RNG streams), loads the newest valid checkpoint
@@ -69,274 +56,25 @@
 #include <filesystem>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <fstream>
-
 #include "core/dispatch_server.h"
 #include "core/hi_madrl.h"
 #include "core/policy_snapshot.h"
 #include "core/serve_protocol.h"
-#include "nn/tensor.h"
+#include "tools/cli.h"
 #include "util/build_info.h"
 #include "util/exit_codes.h"
 #include "util/fault_inject.h"
 #include "util/net.h"
-#include "util/parse.h"
 #include "util/retry.h"
 #include "util/shutdown.h"
 
 namespace {
-
-struct Args {
-  std::string snapshot_path;
-  std::string snapshot_dir;
-  bool watch = false;
-  int watch_poll_ms = 200;
-  int max_batch = 64;
-  int deadline_ms = 50;
-  int max_queue = 1024;
-  int per_client_inflight = 0;
-  int admission = 1;
-  int write_budget_ms = 5000;
-  int listen_sndbuf = 0;
-  int max_pipeline = 256;
-  int sessions = 4;
-  int clients = 0;  ///< 0 = one per session (none with --listen).
-  bool clients_set = false;
-  int requests = 64;
-  int duration_sec = 0;
-  std::string stats_json;
-  std::string listen;
-  std::string port_file;
-
-  std::string campus = "purdue";
-  int timeslots = 100;
-  int pois = 100;
-  int uavs = 2;
-  int ugvs = 2;
-  int subchannels = 3;
-  double height = 60.0;
-  double threshold_db = 0.0;
-  std::string medium = "noma";
-  bool env_channel_scalar = false;
-  bool env_fast_math = false;
-  bool use_eoi = true;
-  bool use_copo = true;
-  bool hetero_copo = true;
-  bool mappo = false;
-  uint64_t seed = 1;
-  bool quiet = false;
-  bool help = false;
-  bool version = false;
-};
-
-bool ParseArgs(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << name << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto next_int = [&](const char* name, int lo, int hi, int* out) {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!agsc::util::ParseIntInRange(v, lo, hi, out)) {
-        std::cerr << "invalid value for " << name << ": '" << v
-                  << "' (expected integer in [" << lo << ", " << hi
-                  << "])\n";
-        return false;
-      }
-      return true;
-    };
-    auto next_double = [&](const char* name, double lo, double hi,
-                           double* out) {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!agsc::util::ParseDoubleInRange(v, lo, hi, out)) {
-        std::cerr << "invalid value for " << name << ": '" << v
-                  << "' (expected number in [" << lo << ", " << hi << "])\n";
-        return false;
-      }
-      return true;
-    };
-    constexpr int kMaxInt = 1000000000;
-    if (flag == "--snapshot") {
-      const char* v = next("--snapshot");
-      if (!v) return false;
-      args.snapshot_path = v;
-    } else if (flag == "--snapshot-dir") {
-      const char* v = next("--snapshot-dir");
-      if (!v) return false;
-      args.snapshot_dir = v;
-    } else if (flag == "--watch") {
-      args.watch = true;
-    } else if (flag == "--watch-poll-ms") {
-      if (!next_int("--watch-poll-ms", 1, 3600000, &args.watch_poll_ms)) {
-        return false;
-      }
-    } else if (flag == "--max-batch") {
-      if (!next_int("--max-batch", 1, 65536, &args.max_batch)) return false;
-    } else if (flag == "--deadline-ms") {
-      if (!next_int("--deadline-ms", 0, 3600000, &args.deadline_ms)) {
-        return false;
-      }
-    } else if (flag == "--max-queue") {
-      if (!next_int("--max-queue", 0, kMaxInt, &args.max_queue)) return false;
-    } else if (flag == "--per-client-inflight") {
-      if (!next_int("--per-client-inflight", 0, kMaxInt,
-                    &args.per_client_inflight)) {
-        return false;
-      }
-    } else if (flag == "--admission") {
-      if (!next_int("--admission", 0, 1, &args.admission)) return false;
-    } else if (flag == "--write-budget-ms") {
-      if (!next_int("--write-budget-ms", 1, 3600000, &args.write_budget_ms)) {
-        return false;
-      }
-    } else if (flag == "--listen-sndbuf") {
-      if (!next_int("--listen-sndbuf", 0, kMaxInt, &args.listen_sndbuf)) {
-        return false;
-      }
-    } else if (flag == "--max-pipeline") {
-      if (!next_int("--max-pipeline", 1, 65536, &args.max_pipeline)) {
-        return false;
-      }
-    } else if (flag == "--sessions") {
-      if (!next_int("--sessions", 1, 4096, &args.sessions)) return false;
-    } else if (flag == "--clients") {
-      if (!next_int("--clients", 1, 4096, &args.clients)) return false;
-      args.clients_set = true;
-    } else if (flag == "--listen") {
-      const char* v = next("--listen");
-      if (!v) return false;
-      args.listen = v;
-    } else if (flag == "--port-file") {
-      const char* v = next("--port-file");
-      if (!v) return false;
-      args.port_file = v;
-    } else if (flag == "--requests") {
-      if (!next_int("--requests", 0, kMaxInt, &args.requests)) return false;
-    } else if (flag == "--duration-sec") {
-      if (!next_int("--duration-sec", 0, 86400, &args.duration_sec)) {
-        return false;
-      }
-    } else if (flag == "--stats-json") {
-      const char* v = next("--stats-json");
-      if (!v) return false;
-      args.stats_json = v;
-    } else if (flag == "--campus") {
-      const char* v = next("--campus");
-      if (!v) return false;
-      args.campus = v;
-      if (args.campus != "purdue" && args.campus != "ncsu") {
-        std::cerr << "invalid value for --campus: '" << args.campus
-                  << "' (expected purdue|ncsu)\n";
-        return false;
-      }
-    } else if (flag == "--timeslots") {
-      if (!next_int("--timeslots", 1, kMaxInt, &args.timeslots)) return false;
-    } else if (flag == "--pois") {
-      if (!next_int("--pois", 1, kMaxInt, &args.pois)) return false;
-    } else if (flag == "--uavs") {
-      if (!next_int("--uavs", 0, kMaxInt, &args.uavs)) return false;
-    } else if (flag == "--ugvs") {
-      if (!next_int("--ugvs", 0, kMaxInt, &args.ugvs)) return false;
-    } else if (flag == "--subchannels") {
-      if (!next_int("--subchannels", 1, kMaxInt, &args.subchannels)) {
-        return false;
-      }
-    } else if (flag == "--height") {
-      if (!next_double("--height", 1e-6, 1e6, &args.height)) return false;
-    } else if (flag == "--threshold") {
-      if (!next_double("--threshold", -1e6, 1e6, &args.threshold_db)) {
-        return false;
-      }
-    } else if (flag == "--medium") {
-      const char* v = next("--medium");
-      if (!v) return false;
-      args.medium = v;
-      if (args.medium != "noma" && args.medium != "tdma" &&
-          args.medium != "ofdma") {
-        std::cerr << "invalid value for --medium: '" << args.medium
-                  << "' (expected noma|tdma|ofdma)\n";
-        return false;
-      }
-    } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      if (!agsc::util::ParseUint64(v, &args.seed)) {
-        std::cerr << "invalid value for --seed: '" << v
-                  << "' (expected unsigned integer)\n";
-        return false;
-      }
-    } else if (flag == "--env-channel-scalar") {
-      args.env_channel_scalar = true;
-    } else if (flag == "--env-fast-math") {
-      args.env_fast_math = true;
-    } else if (flag == "--no-eoi") {
-      args.use_eoi = false;
-    } else if (flag == "--no-copo") {
-      args.use_copo = false;
-    } else if (flag == "--plain-copo") {
-      args.hetero_copo = false;
-    } else if (flag == "--mappo") {
-      args.mappo = true;
-    } else if (flag == "--quiet") {
-      args.quiet = true;
-    } else if (flag == "--version" || flag == "--build-info") {
-      args.version = true;
-      return true;
-    } else if (flag == "--help" || flag == "-h") {
-      args.help = true;
-      return false;
-    } else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      return false;
-    }
-  }
-  if (args.snapshot_path.empty() && args.snapshot_dir.empty()) {
-    std::cerr << "one of --snapshot or --snapshot-dir is required\n";
-    return false;
-  }
-  if (args.watch && args.snapshot_dir.empty()) {
-    std::cerr << "--watch requires --snapshot-dir\n";
-    return false;
-  }
-  if (args.requests == 0 && args.duration_sec == 0 && args.listen.empty()) {
-    // A listening server is legitimately unbounded (stopped by signal);
-    // a pure local client fleet is not.
-    std::cerr << "unbounded run: give --requests N or --duration-sec S\n";
-    return false;
-  }
-  if (!args.port_file.empty() && args.listen.empty()) {
-    std::cerr << "--port-file requires --listen\n";
-    return false;
-  }
-  return true;
-}
-
-void PrintUsage(std::ostream& out) {
-  out << "usage: agsc_serve --snapshot FILE | --snapshot-dir DIR [--watch]\n"
-         "  [--watch-poll-ms MS] [--max-batch N] [--deadline-ms MS]\n"
-         "  [--max-queue N] [--per-client-inflight N] [--admission 0|1]\n"
-         "  [--sessions S] [--clients C] [--requests N] [--duration-sec S]\n"
-         "  [--stats-json FILE] [--listen HOST:PORT] [--port-file FILE]\n"
-         "  [--write-budget-ms MS] [--listen-sndbuf BYTES] [--max-pipeline N]\n"
-         "  [--campus purdue|ncsu] [--timeslots T] [--pois I] [--uavs U]\n"
-         "  [--ugvs G] [--subchannels Z] [--height M] [--threshold DB]\n"
-         "  [--medium noma|tdma|ofdma] [--env-channel-scalar]\n"
-         "  [--env-fast-math] [--no-eoi] [--no-copo]\n"
-         "  [--plain-copo] [--mappo] [--seed S] [--quiet] [--version]\n"
-         "exit codes: 0 ok, 2 usage, 3 config, 4 io, 8 signal-stop,\n"
-         "  11 serve-error, 12 net-error\n";
-}
 
 /// Checkpoint files in `dir`, newest first by modification time (name as a
 /// deterministic tie-break). Empty when the directory is missing/empty.
@@ -344,14 +82,11 @@ std::vector<std::string> CheckpointsNewestFirst(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;
   std::vector<std::pair<fs::file_time_type, std::string>> found;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt_", 0) == 0 && name.ends_with(".agsc")) {
-      std::error_code time_ec;
-      const fs::file_time_type mtime = entry.last_write_time(time_ec);
-      found.emplace_back(time_ec ? fs::file_time_type::min() : mtime,
-                         entry.path().string());
-    }
+  for (const fs::path& path : agsc::core::ListCheckpointFiles(dir, ec)) {
+    std::error_code time_ec;
+    const fs::file_time_type mtime = fs::last_write_time(path, time_ec);
+    found.emplace_back(time_ec ? fs::file_time_type::min() : mtime,
+                       path.string());
   }
   std::sort(found.begin(), found.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -364,7 +99,7 @@ std::vector<std::string> CheckpointsNewestFirst(const std::string& dir) {
 }
 
 /// Serializes the final serving stats as a flat JSON object.
-std::string StatsJson(const Args& args, int num_clients,
+std::string StatsJson(const agsc::core::DispatchConfig& d, int num_clients,
                       const agsc::core::DispatchStats& s, double elapsed_sec,
                       uint64_t client_steps) {
   std::ostringstream out;
@@ -372,13 +107,13 @@ std::string StatsJson(const Args& args, int num_clients,
       static_cast<double>(s.requests_ok + s.requests_expired);
   out << "{\n"
       << "  \"build\": \"" << agsc::util::BuildInfoString("") << "\",\n"
-      << "  \"sessions\": " << args.sessions << ",\n"
+      << "  \"sessions\": " << d.num_sessions << ",\n"
       << "  \"clients\": " << num_clients << ",\n"
-      << "  \"max_batch\": " << args.max_batch << ",\n"
-      << "  \"deadline_ms\": " << args.deadline_ms << ",\n"
-      << "  \"max_queue\": " << args.max_queue << ",\n"
-      << "  \"per_client_inflight\": " << args.per_client_inflight << ",\n"
-      << "  \"admission\": " << args.admission << ",\n"
+      << "  \"max_batch\": " << d.max_batch << ",\n"
+      << "  \"deadline_ms\": " << d.deadline_ms << ",\n"
+      << "  \"max_queue\": " << d.max_queue << ",\n"
+      << "  \"per_client_inflight\": " << d.per_client_inflight << ",\n"
+      << "  \"admission\": " << d.admission << ",\n"
       << "  \"elapsed_sec\": " << elapsed_sec << ",\n"
       << "  \"client_steps\": " << client_steps << ",\n"
       << "  \"requests_ok\": " << s.requests_ok << ",\n"
@@ -420,70 +155,31 @@ int main(int argc, char** argv) {
   // Arm any AGSC_FAULT_* flags up front (the soak test injects write
   // failures and batch stalls through the environment).
   util::FaultInjector::Instance();
-  Args args;
-  if (!ParseArgs(argc, argv, args)) {
-    PrintUsage(args.help ? std::cout : std::cerr);
-    return args.help ? util::kExitOk : util::kExitUsage;
-  }
-  if (args.version) {
-    std::cout << "agsc_serve "
-              << util::BuildInfoString(std::string("gemm-isa=") +
-                                       nn::ActiveGemmIsaName())
-              << "\n";
-    return util::kExitOk;
+  cli::ServeArgs args;
+  if (const std::optional<int> exit = cli::ServeFlags(args).Parse(argc, argv)) {
+    return *exit;
   }
 
-  const map::CampusId campus = args.campus == "ncsu"
-                                   ? map::CampusId::kNcsu
-                                   : map::CampusId::kPurdue;
-  const map::Dataset dataset = map::BuildDataset(campus, args.pois);
-
-  env::EnvConfig env_config;
-  env_config.num_timeslots = args.timeslots;
-  env_config.num_pois = args.pois;
-  env_config.num_uavs = args.uavs;
-  env_config.num_ugvs = args.ugvs;
-  env_config.num_subchannels = args.subchannels;
-  env_config.uav_height = args.height;
-  env_config.sinr_threshold_db = args.threshold_db;
-  if (args.medium == "tdma") {
-    env_config.medium_access = env::MediumAccess::kTdma;
-  } else if (args.medium == "ofdma") {
-    env_config.medium_access = env::MediumAccess::kOfdma;
-  }
   // Serving steps the env on the request path, so the channel tier flags
   // apply here too: --env-channel-scalar pins the bit-identical scalar
   // oracle, --env-fast-math trades libm bit patterns for vectorized
   // transcendentals (deterministic, bounded error).
-  env_config.use_channel_batch = !args.env_channel_scalar;
-  env_config.env_fast_math = args.env_fast_math;
+  const env::EnvConfig& env_config = args.scenario.env;
   const std::string config_error = env_config.Validate();
   if (!config_error.empty()) {
     std::cerr << "invalid configuration: " << config_error << "\n";
     return util::kExitConfig;
   }
-  env::ScEnv env(env_config, dataset, args.seed);
-
   // The staging trainer only exists to materialize networks of the right
   // architecture and load checkpoints into them; it never trains.
-  core::TrainConfig train;
-  train.use_eoi = args.use_eoi;
-  train.use_copo = args.use_copo;
-  train.hetero_copo = args.hetero_copo;
-  if (args.mappo) train.base = core::BaseAlgo::kMappo;
-  train.seed = args.seed;
-  train.verbose = false;
+  const core::TrainConfig& train = args.scenario.train;
+  const map::Dataset dataset =
+      map::BuildDataset(args.scenario.campus, env_config.num_pois);
+  env::ScEnv env(env_config, dataset, train.seed);
   core::HiMadrlTrainer staging(env, train);
 
-  core::DispatchConfig dispatch;
-  dispatch.num_sessions = args.sessions;
-  dispatch.max_batch = args.max_batch;
-  dispatch.deadline_ms = args.deadline_ms;
-  dispatch.max_queue = args.max_queue;
-  dispatch.per_client_inflight = args.per_client_inflight;
-  dispatch.admission = args.admission != 0;
-  dispatch.seed = args.seed;
-  core::DispatchServer server(env, dispatch);
+  args.dispatch.seed = train.seed;
+  core::DispatchServer server(env, args.dispatch);
 
   // Initial snapshot: the named file, or the newest loadable file in the
   // snapshot dir (skipping past corrupted ones). Nothing loadable is fatal
@@ -527,14 +223,10 @@ int main(int argc, char** argv) {
   // Network frontend: framed Act/StepSession over TCP against the same
   // dispatch server the local client fleet uses.
   std::unique_ptr<core::ServeFrontend> frontend;
-  if (!args.listen.empty()) {
-    core::ServeFrontend::Options fopts;
-    fopts.listen_address = args.listen;
-    fopts.write_timeout_ms = args.write_budget_ms;
-    fopts.send_buffer_bytes = args.listen_sndbuf;
-    fopts.max_pipeline = args.max_pipeline;
+  const std::string& listen = args.frontend.listen_address;
+  if (!listen.empty()) {
     try {
-      frontend = std::make_unique<core::ServeFrontend>(server, fopts);
+      frontend = std::make_unique<core::ServeFrontend>(server, args.frontend);
     } catch (const util::NetError& e) {
       std::cerr << "network setup failed ("
                 << util::ExitCodeName(util::kExitNetError) << "): " << e.what()
@@ -542,23 +234,14 @@ int main(int argc, char** argv) {
       return util::kExitNetError;
     }
     frontend->Start();
-    if (!args.port_file.empty()) {
-      // Published atomically: pollers must never read partial content.
-      const std::string tmp = args.port_file + ".tmp";
-      std::ofstream out(tmp, std::ios::trunc);
-      out << frontend->bound_port() << "\n";
-      out.close();
-      std::error_code ec;
-      if (!out ||
-          (std::filesystem::rename(tmp, args.port_file, ec), ec)) {
-        std::cerr << "failed to write --port-file " << args.port_file
-                  << "\n";
-        return util::kExitIoError;
-      }
+    if (!args.port_file.empty() &&
+        !cli::WritePortFile(args.port_file, frontend->bound_port())) {
+      std::cerr << "failed to write --port-file " << args.port_file << "\n";
+      return util::kExitIoError;
     }
     if (!args.quiet) {
       // Also a readiness line — flush past the redirected-stdout buffer.
-      std::cout << "listening on " << args.listen << " (port "
+      std::cout << "listening on " << listen << " (port "
                 << frontend->bound_port() << ")" << std::endl;
     }
   }
@@ -600,9 +283,9 @@ int main(int argc, char** argv) {
   // Client fleet: each thread steps its sessions round-robin through the
   // batched dispatch path. This is the simulated request stream; a network
   // frontend would enqueue the same StepSession/Act calls.
-  const int num_clients = args.clients_set
-                              ? args.clients
-                              : (args.listen.empty() ? args.sessions : 0);
+  const int num_clients =
+      args.clients > 0 ? args.clients
+                       : (listen.empty() ? args.dispatch.num_sessions : 0);
   const auto start_time = std::chrono::steady_clock::now();
   const auto deadline =
       args.duration_sec > 0
@@ -701,7 +384,7 @@ int main(int argc, char** argv) {
     util::RetryPolicy policy;
     if (!util::AtomicWriteFileRetry(
             args.stats_json,
-            StatsJson(args, num_clients, stats, elapsed_sec,
+            StatsJson(args.dispatch, num_clients, stats, elapsed_sec,
                       client_steps.load()),
             policy)) {
       std::cerr << "failed to write stats JSON " << args.stats_json << "\n";

@@ -1,22 +1,6 @@
 // Command-line trainer: the library's "production" entry point for running
-// a single configurable experiment end to end.
-//
-//   agsc_train [--campus purdue|ncsu] [--iterations N] [--timeslots T]
-//              [--pois I] [--uavs U] [--ugvs G] [--subchannels Z]
-//              [--height M] [--threshold DB] [--medium noma|tdma|ofdma]
-//              [--no-eoi] [--no-copo] [--plain-copo] [--mappo]
-//              [--seed S] [--eval N] [--num-workers W]
-//              [--proc-workers W] [--worker-binary PATH]
-//              [--listen HOST:PORT] [--remote-workers W]
-//              [--port-file FILE]
-//              [--nn-naive] [--env-naive]
-//              [--env-channel-scalar] [--env-fast-math]
-//              [--save FILE] [--load FILE]
-//              [--checkpoint-dir DIR] [--checkpoint-every N]
-//              [--checkpoint-keep K] [--resume]
-//              [--stats-csv FILE] [--watchdog-sec S]
-//              [--oracle-check-every N] [--max-backoffs N]
-//              [--render] [--quiet] [--version]
+// a single configurable experiment end to end. `agsc_train --help` lists
+// the flags (tools/cli.cc holds the table).
 //
 // Trains h/i-MADRL (or the selected variant), evaluates it, prints the five
 // paper metrics and optionally saves/loads a checkpoint. With
@@ -82,304 +66,25 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/hi_madrl.h"
 #include "env/render.h"
 #include "nn/tensor.h"
+#include "tools/cli.h"
 #include "util/build_info.h"
 #include "util/exit_codes.h"
 #include "util/net.h"
-#include "util/parse.h"
 #include "util/retry.h"
 #include "util/shutdown.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace {
-
-struct Args {
-  std::string campus = "purdue";
-  int iterations = 30;
-  int timeslots = 100;
-  int pois = 100;
-  int uavs = 2;
-  int ugvs = 2;
-  int subchannels = 3;
-  double height = 60.0;
-  double threshold_db = 0.0;
-  std::string medium = "noma";
-  bool use_eoi = true;
-  bool use_copo = true;
-  bool hetero_copo = true;
-  bool mappo = false;
-  uint64_t seed = 1;
-  int eval_episodes = 10;
-  int num_workers = 1;
-  bool num_workers_set = false;
-  int proc_workers = 0;
-  std::string worker_binary;
-  std::string listen;
-  int remote_workers = 0;
-  std::string port_file;
-  bool nn_naive = false;
-  bool env_naive = false;
-  bool env_channel_scalar = false;
-  bool env_fast_math = false;
-  std::string save_path;
-  std::string load_path;
-  std::string checkpoint_dir;
-  int checkpoint_every = 0;
-  int checkpoint_keep = 3;
-  bool resume = false;
-  std::string stats_csv;
-  int watchdog_sec = 0;
-  int oracle_check_every = 0;
-  int max_backoffs = 0;
-  bool render = false;
-  bool quiet = false;
-  bool help = false;
-  bool version = false;
-};
-
-bool ParseArgs(int argc, char** argv, Args& args) {
-  // Strict numeric parsing: reject garbage ("--iterations abc") and
-  // out-of-range values ("--uavs -3") instead of silently training a
-  // nonsense configuration.
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << name << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto next_int = [&](const char* name, int lo, int hi, int* out) {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!agsc::util::ParseIntInRange(v, lo, hi, out)) {
-        std::cerr << "invalid value for " << name << ": '" << v
-                  << "' (expected integer in [" << lo << ", " << hi
-                  << "])\n";
-        return false;
-      }
-      return true;
-    };
-    auto next_double = [&](const char* name, double lo, double hi,
-                           double* out) {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!agsc::util::ParseDoubleInRange(v, lo, hi, out)) {
-        std::cerr << "invalid value for " << name << ": '" << v
-                  << "' (expected number in [" << lo << ", " << hi << "])\n";
-        return false;
-      }
-      return true;
-    };
-    constexpr int kMaxInt = 1000000000;
-    if (flag == "--campus") {
-      const char* v = next("--campus");
-      if (!v) return false;
-      args.campus = v;
-      if (args.campus != "purdue" && args.campus != "ncsu") {
-        std::cerr << "invalid value for --campus: '" << args.campus
-                  << "' (expected purdue|ncsu)\n";
-        return false;
-      }
-    } else if (flag == "--iterations") {
-      if (!next_int("--iterations", 0, kMaxInt, &args.iterations)) {
-        return false;
-      }
-    } else if (flag == "--timeslots") {
-      if (!next_int("--timeslots", 1, kMaxInt, &args.timeslots)) return false;
-    } else if (flag == "--pois") {
-      if (!next_int("--pois", 1, kMaxInt, &args.pois)) return false;
-    } else if (flag == "--uavs") {
-      if (!next_int("--uavs", 0, kMaxInt, &args.uavs)) return false;
-    } else if (flag == "--ugvs") {
-      if (!next_int("--ugvs", 0, kMaxInt, &args.ugvs)) return false;
-    } else if (flag == "--subchannels") {
-      if (!next_int("--subchannels", 1, kMaxInt, &args.subchannels)) {
-        return false;
-      }
-    } else if (flag == "--height") {
-      if (!next_double("--height", 1e-6, 1e6, &args.height)) return false;
-    } else if (flag == "--threshold") {
-      if (!next_double("--threshold", -1e6, 1e6, &args.threshold_db)) {
-        return false;
-      }
-    } else if (flag == "--medium") {
-      const char* v = next("--medium");
-      if (!v) return false;
-      args.medium = v;
-      if (args.medium != "noma" && args.medium != "tdma" &&
-          args.medium != "ofdma") {
-        std::cerr << "invalid value for --medium: '" << args.medium
-                  << "' (expected noma|tdma|ofdma)\n";
-        return false;
-      }
-    } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      if (!agsc::util::ParseUint64(v, &args.seed)) {
-        std::cerr << "invalid value for --seed: '" << v
-                  << "' (expected unsigned integer)\n";
-        return false;
-      }
-    } else if (flag == "--eval") {
-      if (!next_int("--eval", 0, kMaxInt, &args.eval_episodes)) return false;
-    } else if (flag == "--num-workers") {
-      if (!next_int("--num-workers", 1, 1024, &args.num_workers)) {
-        return false;
-      }
-      args.num_workers_set = true;
-    } else if (flag == "--proc-workers") {
-      if (!next_int("--proc-workers", 1, 1024, &args.proc_workers)) {
-        return false;
-      }
-    } else if (flag == "--worker-binary") {
-      const char* v = next("--worker-binary");
-      if (!v) return false;
-      args.worker_binary = v;
-    } else if (flag == "--listen") {
-      const char* v = next("--listen");
-      if (!v) return false;
-      args.listen = v;
-    } else if (flag == "--remote-workers") {
-      if (!next_int("--remote-workers", 1, 1024, &args.remote_workers)) {
-        return false;
-      }
-    } else if (flag == "--port-file") {
-      const char* v = next("--port-file");
-      if (!v) return false;
-      args.port_file = v;
-    } else if (flag == "--nn-naive") {
-      args.nn_naive = true;
-    } else if (flag == "--env-naive") {
-      args.env_naive = true;
-    } else if (flag == "--env-channel-scalar") {
-      args.env_channel_scalar = true;
-    } else if (flag == "--env-fast-math") {
-      args.env_fast_math = true;
-    } else if (flag == "--save") {
-      const char* v = next("--save");
-      if (!v) return false;
-      args.save_path = v;
-    } else if (flag == "--load") {
-      const char* v = next("--load");
-      if (!v) return false;
-      args.load_path = v;
-    } else if (flag == "--checkpoint-dir") {
-      const char* v = next("--checkpoint-dir");
-      if (!v) return false;
-      args.checkpoint_dir = v;
-    } else if (flag == "--checkpoint-every") {
-      if (!next_int("--checkpoint-every", 1, kMaxInt,
-                    &args.checkpoint_every)) {
-        return false;
-      }
-    } else if (flag == "--checkpoint-keep") {
-      if (!next_int("--checkpoint-keep", 1, kMaxInt, &args.checkpoint_keep)) {
-        return false;
-      }
-    } else if (flag == "--resume") {
-      args.resume = true;
-    } else if (flag == "--stats-csv") {
-      const char* v = next("--stats-csv");
-      if (!v) return false;
-      args.stats_csv = v;
-    } else if (flag == "--watchdog-sec") {
-      if (!next_int("--watchdog-sec", 0, 86400, &args.watchdog_sec)) {
-        return false;
-      }
-    } else if (flag == "--oracle-check-every") {
-      if (!next_int("--oracle-check-every", 0, kMaxInt,
-                    &args.oracle_check_every)) {
-        return false;
-      }
-    } else if (flag == "--max-backoffs") {
-      if (!next_int("--max-backoffs", 0, kMaxInt, &args.max_backoffs)) {
-        return false;
-      }
-    } else if (flag == "--no-eoi") {
-      args.use_eoi = false;
-    } else if (flag == "--no-copo") {
-      args.use_copo = false;
-    } else if (flag == "--plain-copo") {
-      args.hetero_copo = false;
-    } else if (flag == "--mappo") {
-      args.mappo = true;
-    } else if (flag == "--render") {
-      args.render = true;
-    } else if (flag == "--quiet") {
-      args.quiet = true;
-    } else if (flag == "--version" || flag == "--build-info") {
-      args.version = true;
-      return true;
-    } else if (flag == "--help" || flag == "-h") {
-      args.help = true;
-      return false;
-    } else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      return false;
-    }
-  }
-  if (args.resume && args.checkpoint_dir.empty()) {
-    std::cerr << "--resume requires --checkpoint-dir\n";
-    return false;
-  }
-  if (args.proc_workers > 0 && args.num_workers_set) {
-    // Both select the replica count; a run is either in-process or
-    // subprocess mode, never a mix.
-    std::cerr << "--proc-workers and --num-workers are mutually exclusive\n";
-    return false;
-  }
-  if (args.remote_workers > 0 &&
-      (args.num_workers_set || args.proc_workers > 0)) {
-    std::cerr << "--remote-workers is mutually exclusive with "
-                 "--num-workers/--proc-workers\n";
-    return false;
-  }
-  if (args.remote_workers > 0 && args.listen.empty()) {
-    std::cerr << "--remote-workers requires --listen HOST:PORT\n";
-    return false;
-  }
-  if (!args.listen.empty() && args.remote_workers == 0) {
-    std::cerr << "--listen requires --remote-workers W\n";
-    return false;
-  }
-  if (!args.port_file.empty() && args.listen.empty()) {
-    std::cerr << "--port-file requires --listen\n";
-    return false;
-  }
-  return true;
-}
-
-void PrintUsage(std::ostream& out) {
-  out << "usage: agsc_train [--campus purdue|ncsu] [--iterations N]\n"
-         "  [--timeslots T] [--pois I] [--uavs U] [--ugvs G]\n"
-         "  [--subchannels Z] [--height M] [--threshold DB]\n"
-         "  [--medium noma|tdma|ofdma] [--no-eoi] [--no-copo]\n"
-         "  [--plain-copo] [--mappo] [--seed S] [--eval N]\n"
-         "  [--num-workers W] [--proc-workers W] [--worker-binary PATH]\n"
-         "  [--listen HOST:PORT] [--remote-workers W] [--port-file FILE]\n"
-         "  [--nn-naive] [--env-naive] [--env-channel-scalar]\n"
-         "  [--env-fast-math]\n"
-         "  [--save FILE] [--load FILE]\n"
-         "  [--checkpoint-dir DIR] [--checkpoint-every N]\n"
-         "  [--checkpoint-keep K] [--resume]\n"
-         "  [--stats-csv FILE] [--watchdog-sec S]\n"
-         "  [--oracle-check-every N] [--max-backoffs N]\n"
-         "  [--render] [--quiet] [--version]\n"
-         "exit codes: 0 ok, 2 usage, 3 config, 4 io, 5 resume-mismatch,\n"
-         "  6 diverged, 7 watchdog-timeout, 8 signal-stop, 9 abort,\n"
-         "  10 worker-failed, 12 net-error\n";
-}
 
 /// Serializes the trainer's full stats history and writes it atomically
 /// (with retry). Called on clean completion AND on supervised abnormal
@@ -415,57 +120,17 @@ bool WriteStatsCsv(const agsc::core::HiMadrlTrainer& trainer,
   return true;
 }
 
-/// True if `dir` contains at least one ckpt_*.agsc file — used to tell
-/// "fresh start" apart from "checkpoints exist but none loads" on --resume.
-bool HasCheckpointFiles(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt_", 0) == 0 && name.ends_with(".agsc")) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace agsc;
   util::InstallShutdownHandler();
-  Args args;
-  if (!ParseArgs(argc, argv, args)) {
-    PrintUsage(args.help ? std::cout : std::cerr);
-    return args.help ? util::kExitOk : util::kExitUsage;
-  }
-  if (args.version) {
-    std::cout << "agsc_train "
-              << util::BuildInfoString(std::string("gemm-isa=") +
-                                       nn::ActiveGemmIsaName())
-              << "\n";
-    return util::kExitOk;
+  cli::TrainArgs args;
+  if (const std::optional<int> exit = cli::TrainFlags(args).Parse(argc, argv)) {
+    return *exit;
   }
 
-  const map::CampusId campus = args.campus == "ncsu"
-                                   ? map::CampusId::kNcsu
-                                   : map::CampusId::kPurdue;
-  const map::Dataset dataset = map::BuildDataset(campus, args.pois);
-
-  env::EnvConfig env_config;
-  env_config.num_timeslots = args.timeslots;
-  env_config.num_pois = args.pois;
-  env_config.num_uavs = args.uavs;
-  env_config.num_ugvs = args.ugvs;
-  env_config.num_subchannels = args.subchannels;
-  env_config.uav_height = args.height;
-  env_config.sinr_threshold_db = args.threshold_db;
-  if (args.medium == "tdma") {
-    env_config.medium_access = env::MediumAccess::kTdma;
-  } else if (args.medium == "ofdma") {
-    env_config.medium_access = env::MediumAccess::kOfdma;
-  }
-  env_config.use_spatial_index = !args.env_naive;
-  env_config.use_channel_batch = !args.env_channel_scalar;
-  env_config.env_fast_math = args.env_fast_math;
+  env::EnvConfig& env_config = args.scenario.env;
   // Training consumes only each slot's last events; the full per-slot event
   // log is needed just for the trajectory/coordination renders.
   env_config.record_event_log = args.render;
@@ -474,44 +139,28 @@ int main(int argc, char** argv) {
     std::cerr << "invalid configuration: " << config_error << "\n";
     return util::kExitConfig;
   }
-  env::ScEnv env(env_config, dataset, args.seed);
+  core::TrainConfig& train = args.scenario.train;
+  const map::Dataset dataset =
+      map::BuildDataset(args.scenario.campus, env_config.num_pois);
+  env::ScEnv env(env_config, dataset, train.seed);
 
-  core::TrainConfig train;
-  train.iterations = args.iterations;
-  train.use_eoi = args.use_eoi;
-  train.use_copo = args.use_copo;
-  train.hetero_copo = args.hetero_copo;
-  if (args.mappo) train.base = core::BaseAlgo::kMappo;
-  train.seed = args.seed;
-  train.num_workers = args.num_workers;
-  train.proc_workers = args.proc_workers;
-  if (args.proc_workers > 0) {
-    train.worker_binary = args.worker_binary;
-    if (train.worker_binary.empty()) {
-      // Default: the agsc_worker binary built next to this trainer.
-      std::error_code ec;
-      std::filesystem::path self =
-          std::filesystem::canonical(argv[0], ec);
-      train.worker_binary =
-          ((ec ? std::filesystem::path(argv[0]) : self).parent_path() /
-           "agsc_worker")
-              .string();
-    }
+  if (train.proc_workers > 0 && train.worker_binary.empty()) {
+    // Default: the agsc_worker binary built next to this trainer.
+    std::error_code ec;
+    std::filesystem::path self = std::filesystem::canonical(argv[0], ec);
+    train.worker_binary =
+        ((ec ? std::filesystem::path(argv[0]) : self).parent_path() /
+         "agsc_worker")
+            .string();
   }
+  if (args.num_workers > 0) train.num_workers = args.num_workers;
   if (args.remote_workers > 0) {
     // Remote mode reuses the proc-sampler machinery; the worker binary is
     // whatever the operator launches against --listen.
     train.proc_workers = args.remote_workers;
-    train.listen_address = args.listen;
   }
-  train.nn_naive_kernels = args.nn_naive;
   train.verbose = !args.quiet;
-  train.checkpoint_dir = args.checkpoint_dir;
-  train.checkpoint_every = args.checkpoint_every;
-  train.checkpoint_keep = args.checkpoint_keep;
   train.watchdog_ms = static_cast<long>(args.watchdog_sec) * 1000;
-  train.oracle_check_every = args.oracle_check_every;
-  train.max_lr_backoffs = args.max_backoffs;
   train.stop_check = [] { return util::ShutdownRequested(); };
   std::unique_ptr<core::HiMadrlTrainer> trainer_holder;
   try {
@@ -525,39 +174,34 @@ int main(int argc, char** argv) {
   core::HiMadrlTrainer& trainer = *trainer_holder;
 
   if (!args.port_file.empty()) {
-    // Publish the bound port (resolves --listen HOST:0) atomically: the
-    // harness/operator polls for this file, so it must never read partial
-    // content.
+    // Publish the bound port (resolves --listen HOST:0): the harness or
+    // operator polls for this file.
     const int port = trainer.SamplerBoundPort();
-    const std::string tmp = args.port_file + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    out << port << "\n";
-    out.close();
-    std::error_code ec;
-    if (!out || (std::filesystem::rename(tmp, args.port_file, ec), ec)) {
+    if (!cli::WritePortFile(args.port_file, port)) {
       std::cerr << "failed to write --port-file " << args.port_file << "\n";
       return util::kExitIoError;
     }
     if (!args.quiet) {
-      std::cout << "listening on " << args.listen << " (port " << port
-                << ", published to " << args.port_file << ")\n";
+      std::cout << "listening on " << train.listen_address << " (port "
+                << port << ", published to " << args.port_file << ")\n";
     }
   }
 
   if (args.resume) {
-    if (trainer.LoadLatestCheckpoint(args.checkpoint_dir)) {
-      std::cout << "resumed from " << args.checkpoint_dir << " at iteration "
+    std::error_code ec;
+    if (trainer.LoadLatestCheckpoint(train.checkpoint_dir)) {
+      std::cout << "resumed from " << train.checkpoint_dir << " at iteration "
                 << trainer.iteration() << "\n";
-    } else if (HasCheckpointFiles(args.checkpoint_dir)) {
+    } else if (!core::ListCheckpointFiles(train.checkpoint_dir, ec).empty()) {
       // Checkpoints exist but none is loadable into THIS configuration:
       // almost always a config/architecture mismatch. Refuse to silently
       // retrain from scratch next to data we can't read.
-      std::cerr << "resume mismatch: " << args.checkpoint_dir
+      std::cerr << "resume mismatch: " << train.checkpoint_dir
                 << " contains checkpoints but none loads with this "
                 << "configuration (see log above)\n";
       return util::kExitResumeMismatch;
     } else {
-      std::cout << "no checkpoint in " << args.checkpoint_dir
+      std::cout << "no checkpoint in " << train.checkpoint_dir
                 << "; starting fresh\n";
     }
   }
@@ -574,12 +218,12 @@ int main(int argc, char** argv) {
     return WriteStatsCsv(trainer, args.stats_csv, train.io_retry);
   };
 
-  if (args.iterations > 0) {
-    std::cout << "training " << args.iterations << " iterations on "
+  if (train.iterations > 0) {
+    std::cout << "training " << train.iterations << " iterations on "
               << dataset.campus.name << " ("
               << trainer.TotalParameterCount() << " parameters)...\n";
     try {
-      trainer.TrainTo(args.iterations);
+      trainer.TrainTo(train.iterations);
     } catch (const util::InterruptedError& e) {
       // Cooperative signal stop: the trainer already flushed a final
       // checkpoint; persist the stats rows and report the signal.
@@ -622,7 +266,7 @@ int main(int argc, char** argv) {
 
   core::EvalResult result;
   try {
-    result = core::Evaluate(env, trainer, args.eval_episodes, args.seed + 99);
+    result = core::Evaluate(env, trainer, args.eval_episodes, train.seed + 99);
   } catch (const util::InterruptedError& e) {
     // Training already finished and was saved/flushed above; only the final
     // evaluation was cut short.

@@ -34,21 +34,20 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/worker_protocol.h"
 #include "env/sc_env.h"
 #include "map/trace.h"
-#include "nn/tensor.h"
-#include "util/build_info.h"
+#include "tools/cli.h"
 #include "util/env_flags.h"
 #include "util/exit_codes.h"
 #include "util/fault_inject.h"
 #include "util/ipc.h"
 #include "util/logging.h"
 #include "util/net.h"
-#include "util/parse.h"
 #include "util/retry.h"
 
 namespace {
@@ -65,21 +64,6 @@ using agsc::core::WorkerHello;
 using agsc::core::WorkerInit;
 using agsc::core::WorkerRegister;
 using agsc::core::WorkerStepResult;
-
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: agsc_worker [--worker-id N] [--incarnation N]\n"
-      "       agsc_worker --worker-id N --connect HOST:PORT\n"
-      "                   [--connect-timeout-ms MS] [--connect-retries N]\n"
-      "       agsc_worker --version | --build-info\n"
-      "Rollout worker for agsc_train. Without --connect it speaks the\n"
-      "framed worker protocol on stdin/stdout (spawned by --proc-workers N\n"
-      "and not meant to be run by hand). With --connect it registers its\n"
-      "--worker-id slot with a trainer listening via --listen/\n"
-      "--remote-workers N, and reconnects with bounded backoff if the\n"
-      "connection drops.\n");
-}
 
 /// Packages one Reset/Step outcome (plus the post-step RNG position and,
 /// when the episode ended, its metrics) for the wire.
@@ -388,76 +372,13 @@ int ConnectMain(const std::string& host, int port, int worker_id,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int worker_id = 0;
-  int incarnation = 0;
-  std::string connect;
-  int connect_timeout_ms = 10000;
-  int connect_retries = 40;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--version" || arg == "--build-info") {
-      std::printf("agsc_worker %s\n",
-                  agsc::util::BuildInfoString(
-                      std::string("gemm-isa=") + agsc::nn::ActiveGemmIsaName())
-                      .c_str());
-      return agsc::util::kExitOk;
-    }
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return agsc::util::kExitOk;
-    }
-    if (arg == "--worker-id") {
-      const char* v = next();
-      if (v == nullptr ||
-          !agsc::util::ParseIntInRange(v, 0, 1 << 20, &worker_id)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    if (arg == "--incarnation") {
-      const char* v = next();
-      if (v == nullptr ||
-          !agsc::util::ParseIntInRange(v, 0, 1 << 20, &incarnation)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    if (arg == "--connect") {
-      const char* v = next();
-      if (v == nullptr) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      connect = v;
-      continue;
-    }
-    if (arg == "--connect-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr || !agsc::util::ParseIntInRange(v, 1, 1 << 30,
-                                                       &connect_timeout_ms)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    if (arg == "--connect-retries") {
-      const char* v = next();
-      if (v == nullptr ||
-          !agsc::util::ParseIntInRange(v, 1, 1 << 20, &connect_retries)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    PrintUsage();
-    return agsc::util::kExitUsage;
+  agsc::cli::WorkerArgs args;
+  if (const std::optional<int> exit =
+          agsc::cli::WorkerFlags(args).Parse(argc, argv)) {
+    return *exit;
   }
-  if (connect.empty()) return PipeMain(worker_id, incarnation);
+  const std::string& connect = args.connect;
+  if (connect.empty()) return PipeMain(args.worker_id, args.incarnation);
   std::string host;
   int port = 0;
   std::string parse_error;
@@ -474,6 +395,6 @@ int main(int argc, char** argv) {
                  connect.c_str());
     return agsc::util::kExitUsage;
   }
-  return ConnectMain(host, port, worker_id, connect_timeout_ms,
-                     connect_retries);
+  return ConnectMain(host, port, args.worker_id, args.connect_timeout_ms,
+                     args.connect_retries);
 }

@@ -15,6 +15,7 @@
 
 #include "algorithms/shortest_path.h"
 #include "bench/bench_common.h"
+#include "core/oracle_guard.h"
 #include "env/channel_batch.h"
 
 namespace {
@@ -457,57 +458,19 @@ bool RoadSelfCheck() {
   return true;
 }
 
-bool EventsEqual(const env::CollectionEvent& a,
-                 const env::CollectionEvent& b) {
-  return a.subchannel == b.subchannel && a.uav == b.uav && a.ugv == b.ugv &&
-         a.poi_uav == b.poi_uav && a.poi_ugv == b.poi_ugv &&
-         a.collected_uav_gbit == b.collected_uav_gbit &&
-         a.collected_ugv_gbit == b.collected_ugv_gbit &&
-         a.loss_uav == b.loss_uav && a.loss_ugv == b.loss_ugv &&
-         a.sinr_uplink_uav_db == b.sinr_uplink_uav_db &&
-         a.sinr_relay_db == b.sinr_relay_db &&
-         a.sinr_uplink_ugv_db == b.sinr_uplink_ugv_db;
-}
-
-bool StepResultsEqual(const env::StepResult& a, const env::StepResult& b) {
-  if (a.observations != b.observations || a.state != b.state ||
-      a.rewards != b.rewards || a.done != b.done ||
-      a.events.size() != b.events.size()) {
-    return false;
+// A whole 40-slot episode on the default fast paths, lock-stepped by the
+// trainer's oracle check against the reference paths of `downgrade`.
+bool EpisodeSelfCheck(core::Fallbacks downgrade, uint64_t seed) {
+  env::EnvConfig config;
+  config.num_timeslots = 40;
+  const env::ScEnv env(config, Dataset100(), seed);
+  const core::OracleCheckResult check =
+      core::LockStepEnvCheck(env, downgrade, config.num_timeslots);
+  if (!check.ok) {
+    std::fprintf(stderr, "self-check FAILED: fallback %u episode: %s\n",
+                 downgrade, check.detail.c_str());
   }
-  for (size_t i = 0; i < a.events.size(); ++i) {
-    if (!EventsEqual(a.events[i], b.events[i])) return false;
-  }
-  return true;
-}
-
-bool EnvSelfCheck() {
-  env::EnvConfig indexed_config;
-  indexed_config.num_timeslots = 40;
-  indexed_config.use_spatial_index = true;
-  env::EnvConfig naive_config = indexed_config;
-  naive_config.use_spatial_index = false;
-  env::ScEnv indexed(indexed_config, Dataset100(), 11);
-  env::ScEnv naive(naive_config, Dataset100(), 11);
-  env::StepResult si, sn;
-  indexed.Reset(si);
-  naive.Reset(sn);
-  if (!StepResultsEqual(si, sn)) {
-    std::fprintf(stderr, "self-check FAILED: Reset mismatch\n");
-    return false;
-  }
-  util::Rng rng(23);
-  std::vector<env::UvAction> actions(indexed.num_agents());
-  for (int t = 0; t < indexed_config.num_timeslots; ++t) {
-    RandomActions(rng, actions);
-    indexed.Step(actions, si);
-    naive.Step(actions, sn);
-    if (!StepResultsEqual(si, sn)) {
-      std::fprintf(stderr, "self-check FAILED: Step %d mismatch\n", t);
-      return false;
-    }
-  }
-  return true;
+  return check.ok;
 }
 
 // Batched-channel equivalence: the SIMD kernels must be bit-identical to
@@ -538,39 +501,16 @@ bool ChannelSelfCheck() {
     }
   }
 
-  env::EnvConfig batch_config;
-  batch_config.num_timeslots = 40;
-  batch_config.use_channel_batch = true;
-  env::EnvConfig scalar_config = batch_config;
-  scalar_config.use_channel_batch = false;
-  env::ScEnv batched(batch_config, Dataset100(), 13);
-  env::ScEnv scalar(scalar_config, Dataset100(), 13);
-  env::StepResult sb, ss;
-  batched.Reset(sb);
-  scalar.Reset(ss);
-  if (!StepResultsEqual(sb, ss)) {
-    std::fprintf(stderr, "self-check FAILED: channel Reset mismatch\n");
-    return false;
-  }
-  util::Rng rng(31);
-  std::vector<env::UvAction> actions(batched.num_agents());
-  for (int t = 0; t < batch_config.num_timeslots; ++t) {
-    RandomActions(rng, actions);
-    batched.Step(actions, sb);
-    scalar.Step(actions, ss);
-    if (!StepResultsEqual(sb, ss)) {
-      std::fprintf(stderr, "self-check FAILED: channel Step %d mismatch\n",
-                   t);
-      return false;
-    }
-  }
-  return true;
+  return EpisodeSelfCheck(core::kFallbackChannel, 13);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!RoadSelfCheck() || !EnvSelfCheck() || !ChannelSelfCheck()) return 1;
+  if (!RoadSelfCheck() || !EpisodeSelfCheck(core::kFallbackSpatialIndex, 11) ||
+      !ChannelSelfCheck()) {
+    return 1;
+  }
   std::fprintf(stderr,
                "naive-vs-indexed + batched-channel self-check OK\n");
   ::benchmark::Initialize(&argc, argv);

@@ -881,9 +881,7 @@ IterationStats HiMadrlTrainer::TrainIteration() {
   stats.mean_reward_int =
       count > 0 ? static_cast<float>(int_sum / count) : 0.0f;
   stats.total_env_steps = total_env_steps_;
-  stats.env_oracle_fallback = env_fallback_;
-  stats.nn_oracle_fallback = nn_fallback_;
-  stats.channel_oracle_fallback = channel_fallback_;
+  stats.oracle_fallbacks = fallbacks_;
 
   if (config_.verbose) {
     AGSC_LOG(kInfo) << "iter " << iteration_ << " lambda="
@@ -928,46 +926,23 @@ bool HiMadrlTrainer::MaybeBackoffLearningRates() {
 }
 
 void HiMadrlTrainer::RunOracleChecks() {
-  if (!env_fallback_) {
-    const OracleCheckResult check =
-        EnvSelfCheck(env_, config_.oracle_check_steps);
-    if (!check.ok) {
-      env_fallback_ = true;
-      AGSC_LOG(kError) << "oracle guard: spatial-index env disagrees with "
-                       << "the naive oracle (" << check.detail
-                       << "); permanently falling back to the naive "
-                       << "linear-scan path";
-    }
-  }
-  if (!channel_fallback_) {
-    const OracleCheckResult check =
-        ChannelSelfCheck(env_, config_.oracle_check_steps);
-    if (!check.ok) {
-      channel_fallback_ = true;
-      AGSC_LOG(kError) << "oracle guard: batched channel kernels disagree "
-                       << "with the scalar ChannelModel (" << check.detail
-                       << "); permanently falling back to the scalar "
-                       << "per-link path";
-    }
-  }
-  if (!nn_fallback_) {
-    const OracleCheckResult check = NnKernelSelfCheck();
-    if (!check.ok) {
-      nn_fallback_ = true;
-      AGSC_LOG(kError) << "oracle guard: blocked GEMM kernels disagree with "
-                       << "the naive reference (" << check.detail
-                       << "); permanently falling back to the naive kernels";
-    }
+  for (const OraclePair& pair : kOraclePairs) {
+    if ((fallbacks_ & pair.bit) != 0) continue;
+    const OracleCheckResult check = pair.check(env_);
+    if (check.ok) continue;
+    fallbacks_ |= pair.bit;
+    AGSC_LOG(kError) << "oracle guard: the " << pair.name
+                     << " self-check failed (" << check.detail
+                     << "); permanently falling back to " << pair.reference;
   }
   ApplyOracleFallbacks();
 }
 
 void HiMadrlTrainer::ApplyOracleFallbacks() {
   // The sampler downgrades the primary env and every rollout replica, and
-  // carries the flags to subprocess workers (respawned ones included).
-  if (env_fallback_) sampler_->DisableSpatialIndex();
-  if (channel_fallback_) sampler_->DisableChannelBatch();
-  if (nn_fallback_ && nn::GetKernelConfig().gemm != nn::GemmKernel::kNaive) {
+  // carries the bits to subprocess workers (respawned ones included).
+  sampler_->AddFallbacks(fallbacks_);
+  if ((fallbacks_ & kFallbackGemm) != 0) {
     nn::KernelConfig kernel_config = nn::GetKernelConfig();
     kernel_config.gemm = nn::GemmKernel::kNaive;
     nn::SetKernelConfig(kernel_config);
@@ -1137,14 +1112,11 @@ constexpr char kSecCounters[] = "counters";
 constexpr char kSecVecRng[] = "vrng";
 // counters section layout: iteration, total_env_steps, anomaly_streak,
 // actor_lr bits, critic_lr bits. Files written since the supervisor layer
-// carry a sixth word: bit 0 = env oracle fallback, bit 1 = NN kernel
-// oracle fallback, bit 2 = batched-channel oracle fallback, bits 8+ =
-// learning-rate backoff count. Older 5-word files load fine (no fallback,
-// zero backoffs).
+// carry a sixth word: the oracle-fallback bits (core/oracle_guard: spatial
+// index 1, GEMM 2, channel 4) in the low byte, the learning-rate backoff
+// count from bit 8. Older 5-word files load fine (no fallback, zero
+// backoffs).
 constexpr size_t kCounterWords = 5;
-constexpr uint64_t kFallbackEnvBit = 1;
-constexpr uint64_t kFallbackNnBit = 2;
-constexpr uint64_t kFallbackChannelBit = 4;
 constexpr int kBackoffCountShift = 8;
 }  // namespace
 
@@ -1180,9 +1152,7 @@ bool HiMadrlTrainer::SaveCheckpoint(const std::string& path) {
                     static_cast<uint64_t>(anomaly_streak_),
                     DoubleBits(static_cast<double>(config_.actor_lr)),
                     DoubleBits(static_cast<double>(config_.critic_lr)),
-                    (env_fallback_ ? kFallbackEnvBit : 0) |
-                        (nn_fallback_ ? kFallbackNnBit : 0) |
-                        (channel_fallback_ ? kFallbackChannelBit : 0) |
+                    static_cast<uint64_t>(fallbacks_) |
                         (static_cast<uint64_t>(lr_backoff_count_)
                          << kBackoffCountShift)};
 
@@ -1208,8 +1178,16 @@ bool HiMadrlTrainer::LoadCheckpoint(const std::string& path) {
 bool HiMadrlTrainer::LoadCheckpointForInference(const std::string& path) {
   // v1 files already carry params + LCFs only.
   if (nn::ReadFileMagic(path) == "AGSCNN01") return LoadCheckpointV1(path);
-
+  // Optimizer/RNG/counter/vrng sections are deliberately ignored: none of
+  // them affect a deterministic forward pass.
   nn::Checkpoint ckpt;
+  if (!ReadCheckpoint(path, ckpt)) return false;
+  RestoreNetworks(ckpt);
+  return true;
+}
+
+bool HiMadrlTrainer::ReadCheckpoint(const std::string& path,
+                                    nn::Checkpoint& ckpt) const {
   const nn::CheckpointError error = nn::LoadCheckpointFile(path, ckpt);
   if (error != nn::CheckpointError::kOk) {
     AGSC_LOG(kError) << "checkpoint " << path << ": "
@@ -1220,7 +1198,9 @@ bool HiMadrlTrainer::LoadCheckpointForInference(const std::string& path) {
     AGSC_LOG(kError) << "checkpoint " << path
                      << ": architecture fingerprint mismatch (file "
                      << ckpt.fingerprint << ", trainer "
-                     << ArchitectureFingerprint() << ")";
+                     << ArchitectureFingerprint()
+                     << "); the env dims or TrainConfig differ from the run "
+                     << "that saved this checkpoint";
     return false;
   }
   const nn::CheckpointSection* params_sec = ckpt.Find(kSecParams);
@@ -1229,8 +1209,7 @@ bool HiMadrlTrainer::LoadCheckpointForInference(const std::string& path) {
     AGSC_LOG(kError) << "checkpoint " << path << ": missing section";
     return false;
   }
-  // Validate before mutating so a malformed file leaves the trainer intact.
-  std::vector<nn::Variable> net_params = GatherNetParameters();
+  const std::vector<nn::Variable> net_params = GatherNetParameters();
   if (params_sec->tensors.size() != net_params.size()) {
     AGSC_LOG(kError) << "checkpoint " << path << ": parameter count "
                      << params_sec->tensors.size() << " != expected "
@@ -1251,15 +1230,19 @@ bool HiMadrlTrainer::LoadCheckpointForInference(const std::string& path) {
     AGSC_LOG(kError) << "checkpoint " << path << ": LCF count mismatch";
     return false;
   }
-  // Commit. Optimizer/RNG/counter/vrng sections are deliberately ignored:
-  // none of them affect a deterministic forward pass.
-  nn::RestoreParameters(params_sec->tensors, net_params);
-  for (size_t k = 0; k < lcfs_.size(); ++k) {
-    lcfs_[k].phi_deg = BitsToDouble(lcf_sec->words[2 * k]);
-    lcfs_[k].chi_deg = BitsToDouble(lcf_sec->words[2 * k + 1]);
-  }
-  SnapshotOldPolicies();
   return true;
+}
+
+void HiMadrlTrainer::RestoreNetworks(const nn::Checkpoint& ckpt) {
+  std::vector<nn::Variable> net_params = GatherNetParameters();
+  nn::RestoreParameters(ckpt.Find(kSecParams)->tensors, net_params);
+  const std::vector<uint64_t>& lcf = ckpt.Find(kSecLcf)->words;
+  for (size_t k = 0; k < lcfs_.size(); ++k) {
+    lcfs_[k].phi_deg = BitsToDouble(lcf[2 * k]);
+    lcfs_[k].chi_deg = BitsToDouble(lcf[2 * k + 1]);
+  }
+  // Keep theta_old in sync so the next LCF update sees a consistent pair.
+  SnapshotOldPolicies();
 }
 
 bool HiMadrlTrainer::LoadCheckpointV1(const std::string& path) {
@@ -1282,53 +1265,15 @@ bool HiMadrlTrainer::LoadCheckpointV1(const std::string& path) {
 }
 
 bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
+  // Validate every section against the live architecture BEFORE mutating
+  // anything, so a malformed checkpoint leaves the trainer untouched.
   nn::Checkpoint ckpt;
-  const nn::CheckpointError error = nn::LoadCheckpointFile(path, ckpt);
-  if (error != nn::CheckpointError::kOk) {
-    AGSC_LOG(kError) << "checkpoint " << path << ": "
-                     << nn::CheckpointErrorString(error);
-    return false;
-  }
-  if (ckpt.fingerprint != ArchitectureFingerprint()) {
-    AGSC_LOG(kError) << "checkpoint " << path
-                     << ": architecture fingerprint mismatch (file "
-                     << ckpt.fingerprint << ", trainer "
-                     << ArchitectureFingerprint()
-                     << "); the env dims or TrainConfig differ from the run "
-                     << "that saved this checkpoint";
-    return false;
-  }
-  const nn::CheckpointSection* params_sec = ckpt.Find(kSecParams);
-  const nn::CheckpointSection* lcf_sec = ckpt.Find(kSecLcf);
+  if (!ReadCheckpoint(path, ckpt)) return false;
   const nn::CheckpointSection* adam_sec = ckpt.Find(kSecAdam);
   const nn::CheckpointSection* rng_sec = ckpt.Find(kSecRng);
   const nn::CheckpointSection* counters_sec = ckpt.Find(kSecCounters);
-  if (!params_sec || !lcf_sec || !adam_sec || !rng_sec || !counters_sec) {
+  if (!adam_sec || !rng_sec || !counters_sec) {
     AGSC_LOG(kError) << "checkpoint " << path << ": missing section";
-    return false;
-  }
-
-  // Validate every section against the live architecture BEFORE mutating
-  // anything, so a malformed checkpoint leaves the trainer untouched.
-  std::vector<nn::Variable> net_params = GatherNetParameters();
-  if (params_sec->tensors.size() != net_params.size()) {
-    AGSC_LOG(kError) << "checkpoint " << path << ": parameter count "
-                     << params_sec->tensors.size() << " != expected "
-                     << net_params.size();
-    return false;
-  }
-  for (size_t i = 0; i < net_params.size(); ++i) {
-    const nn::Tensor& have = params_sec->tensors[i];
-    const nn::Tensor& want = net_params[i].value();
-    if (have.rows() != want.rows() || have.cols() != want.cols()) {
-      AGSC_LOG(kError) << "checkpoint " << path << ": tensor " << i
-                       << " shape " << have.ShapeString() << " != expected "
-                       << want.ShapeString();
-      return false;
-    }
-  }
-  if (lcf_sec->words.size() != lcfs_.size() * 2) {
-    AGSC_LOG(kError) << "checkpoint " << path << ": LCF count mismatch";
     return false;
   }
   std::vector<nn::Adam*> opts = GatherOptimizers();
@@ -1402,11 +1347,7 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
   }
 
   // Commit: everything validated, now restore all state atomically.
-  nn::RestoreParameters(params_sec->tensors, net_params);
-  for (size_t k = 0; k < lcfs_.size(); ++k) {
-    lcfs_[k].phi_deg = BitsToDouble(lcf_sec->words[2 * k]);
-    lcfs_[k].chi_deg = BitsToDouble(lcf_sec->words[2 * k + 1]);
-  }
+  RestoreNetworks(ckpt);
   for (size_t i = 0; i < opts.size(); ++i) {
     opts[i]->ImportState(states[i]);
   }
@@ -1431,30 +1372,20 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
   config_.actor_lr = static_cast<float>(BitsToDouble(counters_sec->words[3]));
   config_.critic_lr =
       static_cast<float>(BitsToDouble(counters_sec->words[4]));
-  if (counters_sec->words.size() > kCounterWords) {
-    // Supervisor word: oracle-fallback flags + LR backoff count. A run
-    // downgraded to a reference path stays downgraded across resume (the
-    // optimized path already proved untrustworthy on this machine).
-    const uint64_t flags = counters_sec->words[kCounterWords];
-    env_fallback_ = (flags & kFallbackEnvBit) != 0;
-    nn_fallback_ = (flags & kFallbackNnBit) != 0;
-    channel_fallback_ = (flags & kFallbackChannelBit) != 0;
-    lr_backoff_count_ = static_cast<int>(flags >> kBackoffCountShift);
-    if (env_fallback_ || nn_fallback_ || channel_fallback_) {
-      AGSC_LOG(kWarning) << "checkpoint " << path
-                         << ": restoring oracle fallback(s) (env="
-                         << env_fallback_ << ", nn=" << nn_fallback_
-                         << ", channel=" << channel_fallback_ << ")";
-      ApplyOracleFallbacks();
-    }
-  } else {
-    env_fallback_ = false;
-    nn_fallback_ = false;
-    channel_fallback_ = false;
-    lr_backoff_count_ = 0;
+  // Supervisor word: oracle-fallback bits + LR backoff count. A run
+  // downgraded to a reference path stays downgraded across resume (the
+  // optimized path already proved untrustworthy on this machine).
+  const uint64_t word = counters_sec->words.size() > kCounterWords
+                            ? counters_sec->words[kCounterWords]
+                            : 0;
+  fallbacks_ = static_cast<Fallbacks>(word & kAllFallbacks);
+  lr_backoff_count_ = static_cast<int>(word >> kBackoffCountShift);
+  for (const OraclePair& pair : kOraclePairs) {
+    if ((fallbacks_ & pair.bit) == 0) continue;
+    AGSC_LOG(kWarning) << "checkpoint " << path << ": restoring the "
+                       << pair.name << " fallback to " << pair.reference;
   }
-  // Keep theta_old in sync so the next LCF update sees a consistent pair.
-  SnapshotOldPolicies();
+  ApplyOracleFallbacks();
   return true;
 }
 

@@ -14,6 +14,7 @@
 #include "core/copo.h"
 #include "core/eoi.h"
 #include "core/evaluator.h"
+#include "core/oracle_guard.h"
 #include "core/policy.h"
 #include "core/ppo.h"
 #include "core/proc_sampler.h"
@@ -21,6 +22,7 @@
 #include "core/sampler.h"
 #include "env/sc_env.h"
 #include "nn/optimizer.h"
+#include "nn/serialize.h"
 #include "util/retry.h"
 #include "util/thread_pool.h"
 
@@ -108,15 +110,13 @@ struct TrainConfig {
   /// trainer state. With proc_workers > 0 it is the per-frame read/write
   /// deadline instead, and a miss is recovered by respawn and replay.
   long watchdog_ms = 0;
-  /// Run the oracle self-checks (indexed env vs naive linear scan, blocked
-  /// GEMM vs naive reference) at the start of every `oracle_check_every`-th
-  /// iteration, including the first. On mismatch the affected subsystem is
-  /// logged loudly and permanently downgraded to its reference path (see
-  /// IterationStats::*_oracle_fallback); the downgrade is recorded in
-  /// checkpoints and reapplied on resume. 0 = disabled.
+  /// Run the oracle self-checks (core/oracle_guard's kOraclePairs: spatial
+  /// index, GEMM and channel kernels against their references) at the start
+  /// of every `oracle_check_every`-th iteration, including the first. On
+  /// mismatch the affected path is logged loudly and permanently downgraded
+  /// to its reference (see IterationStats::oracle_fallbacks); the downgrade
+  /// is recorded in checkpoints and reapplied on resume. 0 = disabled.
   int oracle_check_every = 0;
-  /// Timeslots stepped by each env oracle self-check.
-  int oracle_check_steps = 16;
   /// Retry policy for checkpoint writes (transient I/O failures are
   /// retried with exponential backoff before the write is abandoned).
   util::RetryPolicy io_retry;
@@ -194,15 +194,9 @@ struct IterationStats {
   /// True if repeated anomalies triggered a learning-rate halving at the
   /// end of this iteration.
   bool lr_backoff = false;
-  /// True while the environment runs on the naive linear-scan path after an
-  /// oracle self-check mismatch (sticky for the rest of the run).
-  bool env_oracle_fallback = false;
-  /// True while the NN GEMMs run on the naive reference kernels after an
-  /// oracle self-check mismatch (sticky for the rest of the run).
-  bool nn_oracle_fallback = false;
-  /// True while the environment runs on the scalar per-link ChannelModel
-  /// path after a batched-channel oracle mismatch (sticky for the run).
-  bool channel_oracle_fallback = false;
+  /// The paths running on their reference after an oracle self-check
+  /// mismatch (core/oracle_guard bits, sticky for the rest of the run).
+  Fallbacks oracle_fallbacks = 0;
 };
 
 /// The h/i-MADRL trainer (Algorithm 1): a PPO-family base module plus the
@@ -236,10 +230,8 @@ class HiMadrlTrainer : public Policy {
   int iteration() const { return iteration_; }
   /// Learning-rate backoffs taken so far (counted against max_lr_backoffs).
   int lr_backoff_count() const { return lr_backoff_count_; }
-  /// Oracle-fallback state (sticky; persisted in checkpoints).
-  bool env_oracle_fallback() const { return env_fallback_; }
-  bool nn_oracle_fallback() const { return nn_fallback_; }
-  bool channel_oracle_fallback() const { return channel_fallback_; }
+  /// Oracle-fallback bits (sticky; persisted in checkpoints).
+  Fallbacks oracle_fallbacks() const { return fallbacks_; }
 
   /// Total scalar parameters across all live networks.
   int TotalParameterCount() const;
@@ -472,6 +464,13 @@ class HiMadrlTrainer : public Policy {
   std::vector<nn::Adam*> GatherOptimizers();
   bool LoadCheckpointV1(const std::string& path);
   bool LoadCheckpointV2(const std::string& path);
+  /// The validate step of both v2 loaders: reads `path` and checks its CRC,
+  /// fingerprint and params/LCF sections against this trainer, logging why
+  /// it refuses. Mutates nothing.
+  bool ReadCheckpoint(const std::string& path, nn::Checkpoint& ckpt) const;
+  /// Their commit step: restores params + LCFs from a checkpoint that
+  /// ReadCheckpoint accepted and re-syncs theta_old.
+  void RestoreNetworks(const nn::Checkpoint& ckpt);
   /// Writes ckpt_<iter>.agsc + the `latest` pointer and prunes old files.
   void WriteAutoCheckpoint();
   /// Writes a final auto-checkpoint on an abnormal Train exit, unless the
@@ -481,10 +480,10 @@ class HiMadrlTrainer : public Policy {
   /// iterations; returns true if a backoff happened. Throws
   /// TrainingDiverged once max_lr_backoffs is exhausted.
   bool MaybeBackoffLearningRates();
-  /// Runs the due oracle self-checks and applies any permanent fallback
-  /// (env spatial index -> naive scan, blocked GEMM -> naive kernels).
+  /// Runs the self-check of every pair not yet downgraded and applies any
+  /// permanent fallback.
   void RunOracleChecks();
-  /// Applies the sticky fallback flags to the live env/replicas/kernels
+  /// Applies the sticky fallback bits to the live env/replicas/kernels
   /// (after a self-check mismatch or a checkpoint restore).
   void ApplyOracleFallbacks();
 
@@ -508,9 +507,7 @@ class HiMadrlTrainer : public Policy {
   int iter_anomalies_ = 0;        ///< Guard events in the current iteration.
   int anomaly_streak_ = 0;        ///< Consecutive anomalous iterations.
   int lr_backoff_count_ = 0;      ///< LR backoffs taken (vs max_lr_backoffs).
-  bool env_fallback_ = false;     ///< Env downgraded to the naive scan path.
-  bool nn_fallback_ = false;      ///< GEMMs downgraded to the naive kernels.
-  bool channel_fallback_ = false; ///< Channel downgraded to the scalar path.
+  Fallbacks fallbacks_ = 0;       ///< Paths downgraded to their reference.
   int last_checkpoint_iter_ = -1; ///< Iteration of the newest auto-ckpt.
   /// Optimize-phase workers, which also run large collect forwards; null
   /// until the first task needs them.

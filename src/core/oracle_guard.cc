@@ -2,6 +2,7 @@
 
 #include <array>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -10,36 +11,8 @@
 namespace agsc::core {
 
 namespace {
-
-bool EventsEqual(const env::CollectionEvent& a, const env::CollectionEvent& b) {
-  return a.subchannel == b.subchannel && a.uav == b.uav && a.ugv == b.ugv &&
-         a.poi_uav == b.poi_uav && a.poi_ugv == b.poi_ugv &&
-         a.collected_uav_gbit == b.collected_uav_gbit &&
-         a.collected_ugv_gbit == b.collected_ugv_gbit &&
-         a.loss_uav == b.loss_uav && a.loss_ugv == b.loss_ugv &&
-         a.sinr_uplink_uav_db == b.sinr_uplink_uav_db &&
-         a.sinr_relay_db == b.sinr_relay_db &&
-         a.sinr_uplink_ugv_db == b.sinr_uplink_ugv_db;
-}
-
-bool StepResultsEqual(const env::StepResult& a, const env::StepResult& b) {
-  if (a.observations != b.observations || a.state != b.state ||
-      a.rewards != b.rewards || a.done != b.done ||
-      a.events.size() != b.events.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.events.size(); ++i) {
-    if (!EventsEqual(a.events[i], b.events[i])) return false;
-  }
-  return true;
-}
-
-void RandomActions(util::Rng& rng, std::vector<env::UvAction>& actions) {
-  for (env::UvAction& a : actions) {
-    a = {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)};
-  }
-}
-
+// Timeslots stepped by each env self-check of the trainer.
+constexpr int kOracleCheckSteps = 16;
 }  // namespace
 
 OracleCheckResult NnKernelSelfCheck() {
@@ -76,68 +49,55 @@ OracleCheckResult NnKernelSelfCheck() {
   return {};
 }
 
-OracleCheckResult EnvSelfCheck(const env::ScEnv& env, int steps) {
-  if (!env.config().use_spatial_index || steps <= 0) return {};
-  // Both copies inherit env's current RNG state, so their episode
-  // randomness is identical; only the query paths differ.
-  env::ScEnv indexed(env);
-  env::ScEnv naive(env);
-  naive.DisableSpatialIndex();
-
-  env::StepResult si, sn;
-  indexed.Reset(si);
-  naive.Reset(sn);
-  if (!StepResultsEqual(si, sn)) {
-    return {false, "Reset: indexed env differs from the naive oracle"};
-  }
-  util::Rng action_rng(0x0AC1E0ACULL);
-  std::vector<env::UvAction> actions(
-      static_cast<size_t>(indexed.num_agents()));
-  for (int t = 0; t < steps; ++t) {
-    RandomActions(action_rng, actions);
-    indexed.Step(actions, si);
-    naive.Step(actions, sn);
-    if (!StepResultsEqual(si, sn)) {
-      std::ostringstream detail;
-      detail << "Step " << t << ": indexed env differs from the naive oracle";
-      return {false, detail.str()};
-    }
-    if (si.done) break;
-  }
-  return {};
-}
-
-OracleCheckResult ChannelSelfCheck(const env::ScEnv& env, int steps) {
-  if (!env.config().use_channel_batch || env.config().env_fast_math ||
-      steps <= 0) {
+OracleCheckResult LockStepEnvCheck(const env::ScEnv& env, Fallbacks downgrade,
+                                   int steps) {
+  env::ScEnv fast(env);
+  env::ScEnv oracle(env);
+  ApplyEnvFallbacks(downgrade, oracle);
+  const env::EnvConfig& from = env.config();
+  const env::EnvConfig& to = oracle.config();
+  const bool unchanged = from.use_spatial_index == to.use_spatial_index &&
+                         from.use_channel_batch == to.use_channel_batch;
+  if (steps <= 0 || unchanged ||
+      (from.env_fast_math && (downgrade & kFallbackChannel) != 0)) {
     return {};
   }
-  env::ScEnv batched(env);
-  env::ScEnv scalar(env);
-  scalar.DisableChannelBatch();
-
-  env::StepResult sb, ss;
-  batched.Reset(sb);
-  scalar.Reset(ss);
-  if (!StepResultsEqual(sb, ss)) {
-    return {false, "Reset: batched channel differs from the scalar oracle"};
-  }
+  env::StepResult sf, so;
+  fast.Reset(sf);
+  oracle.Reset(so);
+  if (sf != so) return {false, "Reset differs"};
   util::Rng action_rng(0x0AC1E0ACULL);
-  std::vector<env::UvAction> actions(
-      static_cast<size_t>(batched.num_agents()));
-  for (int t = 0; t < steps; ++t) {
-    RandomActions(action_rng, actions);
-    batched.Step(actions, sb);
-    scalar.Step(actions, ss);
-    if (!StepResultsEqual(sb, ss)) {
-      std::ostringstream detail;
-      detail << "Step " << t
-             << ": batched channel differs from the scalar oracle";
-      return {false, detail.str()};
+  std::vector<env::UvAction> actions(static_cast<size_t>(fast.num_agents()));
+  for (int t = 0; t < steps && !sf.done; ++t) {
+    for (env::UvAction& a : actions) {
+      a = {action_rng.Uniform(-1.0, 1.0), action_rng.Uniform(-1.0, 1.0)};
     }
-    if (sb.done) break;
+    fast.Step(actions, sf);
+    oracle.Step(actions, so);
+    if (sf != so) return {false, "Step " + std::to_string(t) + " differs"};
   }
   return {};
 }
+
+void ApplyEnvFallbacks(Fallbacks bits, env::ScEnv& env) {
+  if ((bits & kFallbackSpatialIndex) != 0) env.DisableSpatialIndex();
+  if ((bits & kFallbackChannel) != 0) env.DisableChannelBatch();
+}
+
+const std::array<OraclePair, 3> kOraclePairs = {{
+    {kFallbackSpatialIndex, "spatial-index env", "the naive linear-scan path",
+     "env_oracle_fallback",
+     [](const env::ScEnv& env) {
+       return LockStepEnvCheck(env, kFallbackSpatialIndex, kOracleCheckSteps);
+     }},
+    {kFallbackGemm, "blocked GEMM kernels", "the naive kernels",
+     "nn_oracle_fallback",
+     [](const env::ScEnv&) { return NnKernelSelfCheck(); }},
+    {kFallbackChannel, "batched channel kernels", "the scalar per-link path",
+     "channel_oracle_fallback",
+     [](const env::ScEnv& env) {
+       return LockStepEnvCheck(env, kFallbackChannel, kOracleCheckSteps);
+     }},
+}};
 
 }  // namespace agsc::core

@@ -284,8 +284,7 @@ void ProcSampler::FailWorker(int w, const std::string& why) {
 bool ProcSampler::SendPrefix(int w) {
   Worker& wk = workers_[static_cast<size_t>(w)];
   EpisodePrefix prefix;
-  prefix.flags = (naive_env() ? kPrefixNaiveEnv : 0) |
-                 (scalar_channel() ? kPrefixScalarChannel : 0);
+  prefix.flags = fallbacks();
   prefix.rng_state = episode_rng_[static_cast<size_t>(w)];
   prefix.replay = replay_log_[static_cast<size_t>(w)];
   pending_prefix_[static_cast<size_t>(w)] = 1;

@@ -73,14 +73,9 @@ std::vector<util::Rng*> Sampler::SplitRngs() {
   return rngs;
 }
 
-void Sampler::DisableSpatialIndex() {
-  naive_env_ = true;
-  primary_env_.DisableSpatialIndex();
-}
-
-void Sampler::DisableChannelBatch() {
-  scalar_channel_ = true;
-  primary_env_.DisableChannelBatch();
+void Sampler::AddFallbacks(Fallbacks bits) {
+  fallbacks_ |= bits;
+  ApplyEnvFallbacks(bits, primary_env_);
 }
 
 void Sampler::CheckStop(int round, int timeslot) const {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/oracle_guard.h"
 #include "core/rollout.h"
 #include "env/sc_env.h"
 #include "util/rng.h"
@@ -101,15 +102,11 @@ class Sampler {
   /// so checkpoints resume across transports.
   std::vector<util::Rng*> SplitRngs();
 
-  /// Sticky oracle fallback: the primary environment switches to the naive
-  /// linear-scan path at once, and every worker replica from its next
-  /// episode start on (subprocess workers via the episode-prefix frame,
-  /// respawned incarnations included).
-  void DisableSpatialIndex();
-
-  /// Sticky oracle fallback to the scalar per-link channel path; applied
-  /// exactly like DisableSpatialIndex.
-  void DisableChannelBatch();
+  /// Adds sticky oracle fallbacks (core/oracle_guard bits): the primary
+  /// environment takes the reference paths of the env bits at once, and
+  /// every worker replica from its next episode start on (subprocess workers
+  /// via the episode-prefix flags, respawned incarnations included).
+  void AddFallbacks(Fallbacks bits);
 
   /// Remote subprocess workers only: the TCP port workers must --connect
   /// to (resolves a port-0 listen address); 0 for every other transport.
@@ -173,8 +170,7 @@ class Sampler {
   static void CommitStep(CollectState& st, int w);
 
   /// The sticky fallbacks, for transports to apply at an episode start.
-  bool naive_env() const { return naive_env_; }
-  bool scalar_channel() const { return scalar_channel_; }
+  Fallbacks fallbacks() const { return fallbacks_; }
 
   env::ScEnv& primary_env() const { return primary_env_; }
 
@@ -189,8 +185,7 @@ class Sampler {
   std::vector<util::Rng> sample_rngs_;  ///< Workers 1..W-1.
   std::function<bool()> stop_check_;
   long step_deadline_ms_ = 0;
-  bool naive_env_ = false;
-  bool scalar_channel_ = false;
+  Fallbacks fallbacks_ = 0;
 };
 
 }  // namespace agsc::core

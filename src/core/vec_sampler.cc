@@ -47,8 +47,7 @@ void VecSampler::ResetWorkers(const std::shared_ptr<CollectState>& st,
   // The primary env is downgraded by the Sampler itself; replicas pick up
   // the sticky fallbacks here, before their next episode.
   for (int w = 1; w < active; ++w) {
-    if (naive_env()) worker_env(w).DisableSpatialIndex();
-    if (scalar_channel()) worker_env(w).DisableChannelBatch();
+    ApplyEnvFallbacks(fallbacks(), worker_env(w));
   }
   try {
     pool_.ParallelFor(

@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "core/oracle_guard.h"
 #include "util/ipc.h"
 
 namespace agsc::core {
@@ -166,6 +167,7 @@ std::string EncodeEpisodePrefix(const EpisodePrefix& prefix) {
 bool DecodeEpisodePrefix(const std::string& payload, EpisodePrefix& out) {
   WireReader r(payload);
   out.flags = r.U32();
+  if ((out.flags & ~kAllFallbacks) != 0) return false;
   if (!GetRngState(r, out.rng_state)) return false;
   uint32_t steps = 0;
   if (!GetCount(r, 1u << 20, kMinActionsBytes, steps)) return false;

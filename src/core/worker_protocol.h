@@ -44,8 +44,10 @@ namespace agsc::core {
 
 /// v2 added kMsgRegister (remote workers over TCP). v3 appended the
 /// EnvConfig channel-path fields (use_channel_batch / env_fast_math) to
-/// kMsgInit and the kPrefixScalarChannel fallback flag.
-inline constexpr uint32_t kWorkerProtocolVersion = 3;
+/// kMsgInit and a channel fallback flag. v4 carries the core/oracle_guard
+/// fallback bits in EpisodePrefix::flags, which moved the channel flag from
+/// 2 to 4.
+inline constexpr uint32_t kWorkerProtocolVersion = 4;
 
 enum WorkerMsgType : uint32_t {
   kMsgInit = 1,
@@ -97,16 +99,12 @@ struct WorkerActions {
 
 /// kMsgEpisodePrefix payload (see the conversation diagram above).
 struct EpisodePrefix {
-  uint32_t flags = 0;  ///< kPrefix* bits when oracle fallbacks are on.
+  /// The trainer's sticky oracle fallbacks (core/oracle_guard bits); the
+  /// decoder refuses bits outside kAllFallbacks.
+  uint32_t flags = 0;
   std::array<uint64_t, util::Rng::kStateWords> rng_state{};
   std::vector<WorkerActions> replay;  ///< Actions already issued; may be empty.
 };
-
-inline constexpr uint32_t kPrefixNaiveEnv = 1u << 0;
-/// The trainer's oracle guard downgraded the batched channel kernels to the
-/// scalar per-link ChannelModel path; workers must mirror it (sticky, like
-/// kPrefixNaiveEnv, and carried to respawned incarnations).
-inline constexpr uint32_t kPrefixScalarChannel = 1u << 1;
 
 /// kMsgStepResult payload: everything the trainer appends to the rollout
 /// buffer for one slot, plus the worker's post-step env RNG state (the

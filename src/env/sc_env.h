@@ -51,6 +51,8 @@ struct CollectionEvent {
   double sinr_uplink_uav_db = 0.0;  ///< gamma^{i,u} (Eqn. 4).
   double sinr_relay_db = 0.0;       ///< gamma^{u,g} (Eqn. 9).
   double sinr_uplink_ugv_db = 0.0;  ///< gamma^{i',g} (Eqn. 6).
+
+  bool operator==(const CollectionEvent&) const = default;
 };
 
 /// Output of Reset/Step.
@@ -60,6 +62,9 @@ struct StepResult {
   std::vector<double> rewards;  ///< Extrinsic r_{t,ext}^k (Eqn. 17).
   bool done = false;
   std::vector<CollectionEvent> events;  ///< This slot's collection events.
+
+  /// Field-wise equality, the comparison the oracle self-checks lock-step.
+  bool operator==(const StepResult&) const = default;
 };
 
 struct ScEnvHotPathPeer;

@@ -12,8 +12,8 @@
 //    threshold over a fixed-seed episode sweep;
 //  - EnvConfig::Validate rejects non-finite / non-positive channel
 //    parameters and fast-math without the batched path;
-//  - core/oracle_guard's ChannelSelfCheck passes on the default path and
-//    trivially passes on the scalar / fast-math paths.
+//  - core/oracle_guard's channel lock-step check passes on the default path
+//    and trivially passes on the scalar / fast-math paths.
 
 #include <unistd.h>
 
@@ -357,7 +357,8 @@ TEST(ChannelBatchEnvTest, BatchedEpisodesBitIdenticalToScalarChannel) {
   for (ChannelIsa isa : HostIsaLevels()) {
     env::SetChannelIsa(isa);
     env::ScEnv probe(SmallEnvConfig(), SmallDataset(), 42);
-    const core::OracleCheckResult check = core::ChannelSelfCheck(probe, 8);
+    const core::OracleCheckResult check =
+        core::LockStepEnvCheck(probe, core::kFallbackChannel, 8);
     EXPECT_TRUE(check.ok) << env::ChannelIsaName(isa) << ": " << check.detail;
   }
 }
@@ -367,12 +368,12 @@ TEST(ChannelBatchEnvTest, SelfCheckTriviallyPassesOffTheBitExactTier) {
   env::EnvConfig scalar = SmallEnvConfig();
   scalar.use_channel_batch = false;
   env::ScEnv scalar_env(scalar, SmallDataset(), 7);
-  EXPECT_TRUE(core::ChannelSelfCheck(scalar_env, 4).ok);
+  EXPECT_TRUE(core::LockStepEnvCheck(scalar_env, core::kFallbackChannel, 4).ok);
   // Fast-math env: intentionally not bit-comparable, must not be flagged.
   env::EnvConfig fast = SmallEnvConfig();
   fast.env_fast_math = true;
   env::ScEnv fast_env(fast, SmallDataset(), 7);
-  EXPECT_TRUE(core::ChannelSelfCheck(fast_env, 4).ok);
+  EXPECT_TRUE(core::LockStepEnvCheck(fast_env, core::kFallbackChannel, 4).ok);
 }
 
 TEST(ChannelBatchEnvTest, DisableChannelBatchClearsFastMath) {
@@ -381,7 +382,8 @@ TEST(ChannelBatchEnvTest, DisableChannelBatchClearsFastMath) {
   env::ScEnv e(config, SmallDataset(), 3);
   EXPECT_TRUE(e.config().use_channel_batch);
   EXPECT_TRUE(e.config().env_fast_math);
-  e.DisableChannelBatch();
+  // The channel fallback bit reaches ScEnv::DisableChannelBatch.
+  core::ApplyEnvFallbacks(core::kFallbackChannel, e);
   EXPECT_FALSE(e.config().use_channel_batch);
   EXPECT_FALSE(e.config().env_fast_math);
 }

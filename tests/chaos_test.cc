@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -527,12 +528,35 @@ TEST(ChaosTest, VersionFlagPrintsBuildProvenance) {
 TEST(ChaosTest, StatsCsvCarriesBuildHeader) {
   Workspace ws("stats_header");
   const std::string csv = ws.dir + "/stats.csv";
-  ASSERT_EQ(RunTrain({"--iterations", "1", "--stats-csv", csv}, {}, ws.log),
+  ASSERT_EQ(RunTrain({"--iterations", "1", "--oracle-check-every", "1",
+                      "--stats-csv", csv},
+                     {}, ws.log),
             util::kExitOk)
       << LogContents(ws.log);
   const std::string contents = FileBytes(csv);
   EXPECT_EQ(contents.rfind("# build: agsc_train compiler=", 0), 0u)
       << contents.substr(0, 200);
+  std::istringstream lines(contents);
+  std::string build, header, row;
+  std::getline(lines, build);
+  std::getline(lines, header);
+  std::getline(lines, row);
+  EXPECT_EQ(header,
+            "iteration,psi,sigma,xi,kappa,lambda,mean_reward_ext,"
+            "mean_reward_int,eoi_loss,actor_grad_norm,value_loss,"
+            "total_env_steps,anomalies,lr_backoff,env_oracle_fallback,"
+            "nn_oracle_fallback,channel_oracle_fallback");
+  // The oracle checks ran on healthy paths: the three fallback columns,
+  // last in the row, read 0.
+  std::vector<std::string> fields;
+  std::istringstream cells(row);
+  for (std::string cell; std::getline(cells, cell, ',');) {
+    fields.push_back(cell);
+  }
+  ASSERT_EQ(fields.size(), 17u) << row;
+  EXPECT_EQ(std::vector<std::string>(fields.end() - 3, fields.end()),
+            (std::vector<std::string>{"0", "0", "0"}))
+      << row;
 }
 
 }  // namespace

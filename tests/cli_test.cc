@@ -80,6 +80,8 @@ std::vector<Flag> Entries(Binary binary) {
 std::vector<std::string> Companions(Binary binary, const std::string& flag) {
   static const std::map<std::string, std::vector<std::string>> train = {
       {"--resume", {"--checkpoint-dir", "ckpts"}},
+      {"--checkpoint-every", {"--checkpoint-dir", "ckpts"}},
+      {"--worker-binary", {"--proc-workers", "1"}},
       {"--remote-workers", {"--listen", "127.0.0.1:0"}},
       {"--listen", {"--remote-workers", "1"}},
       {"--port-file", {"--listen", "127.0.0.1:0", "--remote-workers", "1"}},
@@ -280,6 +282,16 @@ TEST(CliTest, RulesOverSeveralFlagsReturnUsage) {
   const RuleCase cases[] = {
       {Binary::kTrain, {"--resume"}, "--resume requires --checkpoint-dir"},
       {Binary::kTrain,
+       {"--checkpoint-every", "1"},
+       "--checkpoint-every requires --checkpoint-dir"},
+      {Binary::kTrain,
+       {"--worker-binary", "agsc_worker"},
+       "--worker-binary requires --proc-workers"},
+      // Remote workers are started elsewhere, so no binary applies either.
+      {Binary::kTrain,
+       {"--remote-workers", "2", "--listen", listen, "--worker-binary", "w"},
+       "--worker-binary requires --proc-workers"},
+      {Binary::kTrain,
        {"--proc-workers", "2", "--num-workers", "2"},
        "--proc-workers and --num-workers are mutually exclusive"},
       // Given at its default value, --num-workers still selects a mode.
@@ -318,6 +330,9 @@ TEST(CliTest, RulesOverSeveralFlagsReturnUsage) {
   }
   const RuleCase accepted[] = {
       {Binary::kTrain, {"--resume", "--checkpoint-dir", "ckpts"}, ""},
+      {Binary::kTrain, {"--checkpoint-every", "1", "--checkpoint-dir", "d"},
+       ""},
+      {Binary::kTrain, {"--worker-binary", "w", "--proc-workers", "2"}, ""},
       {Binary::kTrain, {"--proc-workers", "2"}, ""},
       {Binary::kTrain,
        {"--remote-workers", "2", "--listen", listen, "--port-file", "port"},

@@ -719,13 +719,13 @@ TEST(ProcTrainerTest, WorkerCountMismatchOnLoadIsRejected) {
 }
 
 TEST(ProcTrainerTest, OracleFallbackPropagatesToWorkers) {
-  // DisableSpatialIndex on the sampler is sticky and bit-identical by the
-  // env-naive oracle contract: collection after the downgrade must match an
-  // in-process sampler downgraded the same way.
+  // The spatial-index fallback on the sampler is sticky and bit-identical by
+  // the env-naive oracle contract: collection after the downgrade must match
+  // an in-process sampler downgraded the same way.
   env::ScEnv vec_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng vec_rng(11);
   core::VecSampler vec(vec_env, vec_rng, 2, 11);
-  vec.DisableSpatialIndex();
+  vec.AddFallbacks(core::kFallbackSpatialIndex);
   core::MultiAgentBuffer vec_buffer(vec_env.num_agents());
   std::vector<env::Metrics> vec_metrics;
   vec.Collect(4, DummyAct, vec_buffer, vec_metrics);
@@ -733,7 +733,7 @@ TEST(ProcTrainerTest, OracleFallbackPropagatesToWorkers) {
   env::ScEnv proc_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng proc_rng(11);
   core::ProcSampler proc(proc_env, proc_rng, 2, 11, WorkerOptions());
-  proc.DisableSpatialIndex();
+  proc.AddFallbacks(core::kFallbackSpatialIndex);
   core::MultiAgentBuffer proc_buffer(proc_env.num_agents());
   std::vector<env::Metrics> proc_metrics;
   proc.Collect(4, DummyAct, proc_buffer, proc_metrics);
@@ -773,7 +773,7 @@ TEST(ProcTrainerTest, OracleFallbackPropagatesToWorkers) {
     }
     Run first{core::MultiAgentBuffer(env.num_agents()), {}};
     sampler->Collect(2, DummyAct, first.buffer, first.metrics);
-    if (downgrade) sampler->DisableChannelBatch();
+    if (downgrade) sampler->AddFallbacks(core::kFallbackChannel);
     Run run{core::MultiAgentBuffer(env.num_agents()), {}};
     sampler->Collect(4, DummyAct, run.buffer, run.metrics);
     return run;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,8 @@
 #include "env/config.h"
 #include "env/sc_env.h"
 #include "map/campus.h"
+#include "nn/serialize.h"
+#include "nn/tensor.h"
 #include "util/exit_codes.h"
 #include "util/fault_inject.h"
 #include "util/retry.h"
@@ -91,6 +94,12 @@ struct FaultInjectorGuard {
 struct ShutdownGuard {
   ShutdownGuard() { util::ResetShutdownForTest(); }
   ~ShutdownGuard() { util::ResetShutdownForTest(); }
+};
+
+/// Restores the process-wide GEMM kernel selection on scope exit.
+struct KernelConfigGuard {
+  nn::KernelConfig saved = nn::GetKernelConfig();
+  ~KernelConfigGuard() { nn::SetKernelConfig(saved); }
 };
 
 /// A policy-free BatchActFn (same shape as the sampler tests): each row's
@@ -426,7 +435,8 @@ TEST(OracleGuardTest, EnvSelfCheckPassesOnHealthyIndex) {
   env::EnvConfig config = SmallEnvConfig();
   config.use_spatial_index = true;
   env::ScEnv env(config, SmallDataset(), 11);
-  const core::OracleCheckResult result = core::EnvSelfCheck(env, 6);
+  const core::OracleCheckResult result =
+      core::LockStepEnvCheck(env, core::kFallbackSpatialIndex, 6);
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
@@ -434,7 +444,7 @@ TEST(OracleGuardTest, EnvSelfCheckTriviallyPassesOnNaivePath) {
   env::EnvConfig config = SmallEnvConfig();
   config.use_spatial_index = false;
   env::ScEnv env(config, SmallDataset(), 11);
-  EXPECT_TRUE(core::EnvSelfCheck(env, 6).ok);
+  EXPECT_TRUE(core::LockStepEnvCheck(env, core::kFallbackSpatialIndex, 6).ok);
 }
 
 TEST(OracleGuardTest, EnvSelfCheckDoesNotMutateTheEnv) {
@@ -446,7 +456,7 @@ TEST(OracleGuardTest, EnvSelfCheckDoesNotMutateTheEnv) {
     env::ScEnv probe(env);
     probe.Reset(before);
   }
-  ASSERT_TRUE(core::EnvSelfCheck(env, 4).ok);
+  ASSERT_TRUE(core::LockStepEnvCheck(env, core::kFallbackSpatialIndex, 4).ok);
   {
     env::ScEnv probe(env);
     probe.Reset(after);
@@ -522,17 +532,68 @@ TEST(TrainerSupervisionTest, OracleChecksRunCleanAndLeaveFastPathsOn) {
   core::TrainConfig train = SmallTrainConfig();
   train.iterations = 2;
   train.oracle_check_every = 1;
-  train.oracle_check_steps = 4;
   core::HiMadrlTrainer trainer(env, train);
   const std::vector<core::IterationStats> stats = trainer.Train();
   ASSERT_EQ(stats.size(), 2u);
   for (const core::IterationStats& s : stats) {
-    // Healthy kernels and a healthy index: no downgrade recorded.
-    EXPECT_FALSE(s.env_oracle_fallback);
-    EXPECT_FALSE(s.nn_oracle_fallback);
+    // Healthy kernels, index and channel: no downgrade recorded.
+    EXPECT_EQ(s.oracle_fallbacks, 0u);
   }
-  EXPECT_FALSE(trainer.env_oracle_fallback());
-  EXPECT_FALSE(trainer.nn_oracle_fallback());
+  EXPECT_EQ(trainer.oracle_fallbacks(), 0u);
+}
+
+/// Counters word 5 of a decoded checkpoint: the supervisor word.
+uint64_t& SupervisorWord(nn::Checkpoint& ckpt) {
+  for (nn::CheckpointSection& section : ckpt.sections) {
+    if (section.name == "counters") return section.words.at(5);
+  }
+  throw std::runtime_error("checkpoint has no counters section");
+}
+
+TEST(TrainerSupervisionTest, PersistedFallbacksReloadAndSaveTheSameWord) {
+  // Every non-empty subset of the fallback bits (spatial index 1, GEMM 2,
+  // channel 4), persisted next to a nonzero backoff count, must come back
+  // from a checkpoint: downgraded paths, stats and the same word on save.
+  KernelConfigGuard kernels;
+  const std::string base = TempPath("fallback_base.agsc");
+  const std::string edited = TempPath("fallback_edited.agsc");
+  const std::string resaved = TempPath("fallback_resaved.agsc");
+  {
+    env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+    core::HiMadrlTrainer trainer(env, SmallTrainConfig());
+    ASSERT_TRUE(trainer.SaveCheckpoint(base));
+  }
+  nn::Checkpoint ckpt;
+  ASSERT_EQ(nn::DecodeCheckpoint(ReadFileBytes(base), ckpt),
+            nn::CheckpointError::kOk);
+  constexpr uint64_t kBackoffs = 3;
+  for (uint64_t bits = 1; bits < 8; ++bits) {
+    SCOPED_TRACE("fallback bits " + std::to_string(bits));
+    const uint64_t word = bits | (kBackoffs << 8);
+    SupervisorWord(ckpt) = word;
+    ASSERT_TRUE(util::AtomicWriteFile(edited, nn::EncodeCheckpoint(ckpt)));
+
+    env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+    core::HiMadrlTrainer trainer(env, SmallTrainConfig());
+    ASSERT_TRUE(trainer.LoadCheckpoint(edited));
+    EXPECT_EQ(trainer.oracle_fallbacks(), bits);
+    EXPECT_EQ(trainer.lr_backoff_count(), static_cast<int>(kBackoffs));
+    EXPECT_EQ(env.config().use_spatial_index, (bits & 1) == 0);
+    EXPECT_EQ(env.config().use_channel_batch, (bits & 4) == 0);
+    EXPECT_EQ(nn::GetKernelConfig().gemm, (bits & 2) != 0
+                                              ? nn::GemmKernel::kNaive
+                                              : nn::GemmKernel::kBlocked);
+
+    const core::IterationStats stats = trainer.TrainIteration();
+    EXPECT_EQ(stats.oracle_fallbacks, bits);
+
+    ASSERT_TRUE(trainer.SaveCheckpoint(resaved));
+    nn::Checkpoint saved;
+    ASSERT_EQ(nn::DecodeCheckpoint(ReadFileBytes(resaved), saved),
+              nn::CheckpointError::kOk);
+    EXPECT_EQ(SupervisorWord(saved), word);
+  }
+  for (const std::string& path : {base, edited, resaved}) fs::remove(path);
 }
 
 }  // namespace

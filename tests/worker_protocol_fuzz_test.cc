@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/oracle_guard.h"
 #include "core/worker_protocol.h"
 #include "env/config.h"
 #include "env/sc_env.h"
@@ -203,7 +204,7 @@ std::vector<Codec> RealEncodings() {
                     MakeRoundTrip(&DecodeWorkerHello, &EncodeWorkerHello)});
 
   EpisodePrefix prefix;
-  prefix.flags = kPrefixScalarChannel;
+  prefix.flags = kAllFallbacks;
   for (uint64_t& word : prefix.rng_state) word = rng.NextU64();
   std::vector<LengthField> prefix_lengths;
   size_t at = 4 + 8 * util::Rng::kStateWords;
@@ -310,6 +311,23 @@ TEST(WorkerProtocolFuzzTest, BitFlipsRejectOrRoundTrip) {
   }
 }
 
+TEST(WorkerProtocolFuzzTest, PrefixFlagsOutsideTheFallbackSetAreRejected) {
+  // Like WireReader::Bool, the decoder refuses values it has no meaning
+  // for instead of leaving the worker to ignore them.
+  EpisodePrefix prefix;
+  EpisodePrefix out;
+  for (int bit = 0; bit < 32; ++bit) {
+    prefix.flags = 1u << bit;
+    EXPECT_EQ(DecodeEpisodePrefix(EncodeEpisodePrefix(prefix), out),
+              (prefix.flags & kAllFallbacks) != 0)
+        << "bit " << bit;
+    prefix.flags |= kFallbackChannel;
+    EXPECT_EQ(DecodeEpisodePrefix(EncodeEpisodePrefix(prefix), out),
+              (prefix.flags & ~kAllFallbacks) == 0)
+        << "bit " << bit << " beside the channel bit";
+  }
+}
+
 TEST(WorkerProtocolFuzzTest, InflatedLengthPrefixesRejectOrRoundTrip) {
   for (const Codec& codec : Codecs()) {
     for (const LengthField& field : codec.lengths) {
@@ -383,11 +401,12 @@ TEST(WorkerProtocolInitTest, PayloadBytesArePinned) {
   const std::string defaults = EncodeWorkerInit(WorkerInit{});
   const std::string distinct = EncodeWorkerInit(DistinctInit());
   // Version and campus words, 5 I32 and 29 F64 fields, the medium and
-  // 5 Bool words.
+  // 5 Bool words. The CRC-32s cover the version word, so they move with
+  // kWorkerProtocolVersion (4 here) as well as with the field list.
   EXPECT_EQ(defaults.size(), 284u);
-  EXPECT_EQ(PayloadCrc(defaults), 0x2B0D8ABFu);
+  EXPECT_EQ(PayloadCrc(defaults), 0x5AD620D5u);
   EXPECT_EQ(distinct.size(), 284u);
-  EXPECT_EQ(PayloadCrc(distinct), 0xB191A220u);
+  EXPECT_EQ(PayloadCrc(distinct), 0xC04A084Au);
 }
 
 TEST(WorkerProtocolInitTest, EveryFieldRoundTrips) {

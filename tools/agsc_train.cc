@@ -50,9 +50,10 @@
 //  * --watchdog-sec S bounds every parallel rollout step batch; a worker
 //    hung longer than S seconds is reported (worker id + timeslot) and the
 //    process fail-fast exits with code 7 instead of deadlocking.
-//  * --oracle-check-every N cross-checks the optimized env/NN paths against
-//    their retained naive oracles every N iterations and permanently falls
-//    back to the oracle path on mismatch (recorded in checkpoints).
+//  * --oracle-check-every N cross-checks the spatial index, GEMM and channel
+//    kernels against their retained references every N iterations and
+//    permanently falls back to the reference on mismatch (recorded in
+//    checkpoints and in the stats CSV's *_oracle_fallback columns).
 //  * --max-backoffs N turns a persistently diverging run (repeated NaN
 //    updates after N learning-rate backoffs) into exit code 6 with the last
 //    good checkpoint on disk.
@@ -101,17 +102,22 @@ bool WriteStatsCsv(const agsc::core::HiMadrlTrainer& trainer,
       << "\n";
   csv << "iteration,psi,sigma,xi,kappa,lambda,mean_reward_ext,"
          "mean_reward_int,eoi_loss,actor_grad_norm,value_loss,"
-         "total_env_steps,anomalies,lr_backoff,env_oracle_fallback,"
-         "nn_oracle_fallback,channel_oracle_fallback\n";
+         "total_env_steps,anomalies,lr_backoff";
+  for (const agsc::core::OraclePair& pair : agsc::core::kOraclePairs) {
+    csv << "," << pair.csv_column;
+  }
+  csv << "\n";
   for (const agsc::core::IterationStats& s : trainer.stats_history()) {
     csv << s.iteration;
     for (double v : s.rollout_metrics.ToVector()) csv << "," << v;
     csv << "," << s.mean_reward_ext << "," << s.mean_reward_int << ","
         << s.eoi_loss << "," << s.actor_grad_norm << "," << s.value_loss
         << "," << s.total_env_steps << "," << s.anomalies << ","
-        << (s.lr_backoff ? 1 : 0) << "," << (s.env_oracle_fallback ? 1 : 0)
-        << "," << (s.nn_oracle_fallback ? 1 : 0) << ","
-        << (s.channel_oracle_fallback ? 1 : 0) << "\n";
+        << (s.lr_backoff ? 1 : 0);
+    for (const agsc::core::OraclePair& pair : agsc::core::kOraclePairs) {
+      csv << "," << ((s.oracle_fallbacks & pair.bit) != 0 ? 1 : 0);
+    }
+    csv << "\n";
   }
   if (!agsc::util::AtomicWriteFileRetry(path, csv.str(), policy)) {
     std::cerr << "failed to write stats CSV " << path << "\n";
@@ -264,27 +270,33 @@ int main(int argc, char** argv) {
   }
   if (!flush_stats()) return util::kExitIoError;
 
-  core::EvalResult result;
-  try {
-    result = core::Evaluate(env, trainer, args.eval_episodes, train.seed + 99);
-  } catch (const util::InterruptedError& e) {
-    // Training already finished and was saved/flushed above; only the final
-    // evaluation was cut short.
-    std::cerr << "stopped by signal " << util::ShutdownSignal() << ": "
-              << e.what() << "\n";
-    return util::kExitSignalStop;
+  if (args.eval_episodes == 0) {
+    // An all-zero metric table would read as a useless policy.
+    std::cout << "no evaluation ran (--eval 0)\n";
+  } else {
+    core::EvalResult result;
+    try {
+      result =
+          core::Evaluate(env, trainer, args.eval_episodes, train.seed + 99);
+    } catch (const util::InterruptedError& e) {
+      // Training already finished and was saved/flushed above; only the final
+      // evaluation was cut short.
+      std::cerr << "stopped by signal " << util::ShutdownSignal() << ": "
+                << e.what() << "\n";
+      return util::kExitSignalStop;
+    }
+    util::Table table({"metric", "value"});
+    const char* names[] = {"data collection ratio (psi)",
+                           "data loss ratio (sigma)",
+                           "energy consumption ratio (xi)",
+                           "geographical fairness (kappa)",
+                           "efficiency (lambda)"};
+    const std::vector<double> values = result.mean.ToVector();
+    for (int i = 0; i < 5; ++i) {
+      table.AddRow({names[i], util::FormatDouble(values[i], 4)});
+    }
+    table.Print();
   }
-  util::Table table({"metric", "value"});
-  const char* names[] = {"data collection ratio (psi)",
-                         "data loss ratio (sigma)",
-                         "energy consumption ratio (xi)",
-                         "geographical fairness (kappa)",
-                         "efficiency (lambda)"};
-  const std::vector<double> values = result.mean.ToVector();
-  for (int i = 0; i < 5; ++i) {
-    table.AddRow({names[i], util::FormatDouble(values[i], 4)});
-  }
-  table.Print();
   for (int k = 0; k < env.num_agents(); ++k) {
     std::cout << (env.IsUav(k) ? "UAV " : "UGV ") << k << ": phi="
               << util::FormatDouble(trainer.lcfs()[k].phi_deg, 1)

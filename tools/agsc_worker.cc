@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "core/oracle_guard.h"
 #include "core/worker_protocol.h"
 #include "env/sc_env.h"
 #include "map/trace.h"
@@ -252,12 +253,7 @@ SessionEnd RunSession(agsc::util::FrameReader& reader,
           *exit_code = agsc::util::kExitConfig;
           return SessionEnd::kFailure;
         }
-        if ((prefix.flags & agsc::core::kPrefixNaiveEnv) != 0) {
-          env->DisableSpatialIndex();
-        }
-        if ((prefix.flags & agsc::core::kPrefixScalarChannel) != 0) {
-          env->DisableChannelBatch();
-        }
+        agsc::core::ApplyEnvFallbacks(prefix.flags, *env);
         env->rng().LoadState(prefix.rng_state);
         env->Reset(step);
         bool replayed = false;

@@ -225,6 +225,16 @@ FlagTable TrainFlags(TrainArgs& a) {
   t.Switch("--quiet", &a.quiet, true, "no per-iteration lines");
   t.Rule("--resume requires --checkpoint-dir",
          [&a] { return a.resume && a.scenario.train.checkpoint_dir.empty(); });
+  // The flag's range starts at 1 and TrainConfig's default is 0, so a
+  // positive value means it was given.
+  t.Rule("--checkpoint-every requires --checkpoint-dir", [&a] {
+    return a.scenario.train.checkpoint_every > 0 &&
+           a.scenario.train.checkpoint_dir.empty();
+  });
+  t.Rule("--worker-binary requires --proc-workers", [&a] {
+    return !a.scenario.train.worker_binary.empty() &&
+           a.scenario.train.proc_workers == 0;
+  });
   // A run is either in-process or subprocess mode, never a mix.
   t.Rule("--proc-workers and --num-workers are mutually exclusive",
          [&a] { return a.scenario.train.proc_workers > 0 && a.num_workers > 0; });

@@ -351,22 +351,16 @@ AdvantageResult StreamAdvantages(const std::vector<float>& rewards,
 }
 
 /// Advantages of one reward stream under critic `net` from a single critic
-/// pass over the stream's own input rows: successor values come from that
-/// pass (SuccessorValues), and only the `fallback` rows run the critic on
-/// their next input, `next_input(t)`.
-AdvantageResult CriticAdvantages(
-    const ValueNet& net, const std::vector<std::vector<float>>& inputs,
-    const std::vector<float>& rewards, const std::vector<uint8_t>& dones,
-    const std::vector<int>& fallback,
-    const std::function<std::vector<float>(int)>& next_input,
-    const TrainConfig& config, bool normalize) {
+/// pass over the stream's own input rows: successor values come from the
+/// same pass (SuccessorValues).
+AdvantageResult CriticAdvantages(const ValueNet& net,
+                                 const std::vector<std::vector<float>>& inputs,
+                                 const std::vector<float>& rewards,
+                                 const std::vector<uint8_t>& dones,
+                                 const TrainConfig& config, bool normalize) {
   const std::vector<float> values = net.Values(inputs);
-  std::vector<std::vector<float>> next_rows;
-  for (int t : fallback) next_rows.push_back(next_input(t));
-  const std::vector<float> next_values =
-      SuccessorValues(values, dones, fallback, net.Values(next_rows));
-  return StreamAdvantages(rewards, values, next_values, dones, config,
-                          normalize);
+  return StreamAdvantages(rewards, values, SuccessorValues(values, dones),
+                          dones, config, normalize);
 }
 
 /// Elementwise dot product of two gradient snapshots.
@@ -410,7 +404,6 @@ HiMadrlTrainer::OptimizeInputs HiMadrlTrainer::BuildOptimizeInputs() const {
   OptimizeInputs in;
   in.actor.resize(num_agents);
   in.critic.resize(num_agents);
-  in.obs_fallback.resize(num_agents);
   for (int k = 0; k < num_agents; ++k) {
     const AgentRollout& r = buffer_.agents[k];
     in.actor[k].reserve(n);
@@ -423,10 +416,7 @@ HiMadrlTrainer::OptimizeInputs HiMadrlTrainer::BuildOptimizeInputs() const {
         in.critic[k].push_back(CriticInput(k, r.obs[i], buffer_.states[i]));
       }
     }
-    in.obs_fallback[k] = SuccessorFallbackRows(r.obs, r.next_obs, r.done);
   }
-  in.state_fallback = SuccessorFallbackRows(
-      buffer_.states, buffer_.next_states, buffer_.done);
   return in;
 }
 
@@ -435,31 +425,20 @@ HiMadrlTrainer::AgentAdvantages HiMadrlTrainer::AdvantagesOf(
   const AgentNets& nets = Nets(k);
   const AgentRollout& r = buffer_.agents[k];
   AgentAdvantages adv;
-  adv.k = CriticAdvantages(
-      *nets.value, CriticRows(in, k), r.reward, r.done,
-      StateCritic() ? in.state_fallback : in.obs_fallback[k],
-      [&](int t) {
-        return CriticInput(k, r.next_obs[t], buffer_.next_states[t]);
-      },
-      config_, true);
+  adv.k = CriticAdvantages(*nets.value, CriticRows(in, k), r.reward, r.done,
+                           config_, true);
   if (config_.use_copo) {
-    auto next_actor_input = [&](int t) { return ActorInput(k, r.next_obs[t]); };
     adv.he = CriticAdvantages(*nets.value_he, in.actor[k], r.reward_he, r.done,
-                              in.obs_fallback[k], next_actor_input, config_,
-                              true);
+                              config_, true);
     adv.ho = CriticAdvantages(*nets.value_ho, in.actor[k], r.reward_ho, r.done,
-                              in.obs_fallback[k], next_actor_input, config_,
-                              true);
+                              config_, true);
   }
   return adv;
 }
 
-AdvantageResult HiMadrlTrainer::OverallAdvantages(const OptimizeInputs& in,
-                                                  bool normalize) const {
-  return CriticAdvantages(
-      *value_all_, buffer_.states, buffer_.reward_all, buffer_.done,
-      in.state_fallback, [&](int t) { return buffer_.next_states[t]; },
-      config_, normalize);
+AdvantageResult HiMadrlTrainer::OverallAdvantages(bool normalize) const {
+  return CriticAdvantages(*value_all_, buffer_.states, buffer_.reward_all,
+                          buffer_.done, config_, normalize);
 }
 
 HiMadrlTrainer::EpochStats HiMadrlTrainer::AgentPolicyEpoch(
@@ -587,10 +566,9 @@ HiMadrlTrainer::EpochStats HiMadrlTrainer::AgentPolicyEpoch(
   return out;
 }
 
-int HiMadrlTrainer::OverallValueEpoch(const OptimizeInputs& in,
-                                      const Minibatches& batches) {
+int HiMadrlTrainer::OverallValueEpoch(const Minibatches& batches) {
   int anomalies = 0;
-  const AdvantageResult adv_all = OverallAdvantages(in, false);
+  const AdvantageResult adv_all = OverallAdvantages(false);
   for (const std::vector<int>& batch : batches) {
     nn::Tensor target(static_cast<int>(batch.size()), 1);
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -661,7 +639,7 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
   RunOptimizeTasks(groups + (config_.use_copo ? 1 : 0), [&](int task) {
     if (task == groups) {
       for (int e = 0; e < epochs; ++e) {
-        all_anomalies += OverallValueEpoch(in, all_batches[e]);
+        all_anomalies += OverallValueEpoch(all_batches[e]);
       }
       return;
     }
@@ -808,7 +786,7 @@ void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& in) {
   // The meta-update changes neither the critics nor the rewards, so the
   // overall advantage A_all (Eqn. 31) and each agent's streams (for
   // dA_CO/d(phi,chi)) are computed once for all lcf_epochs.
-  const AdvantageResult adv_all = OverallAdvantages(in, true);
+  const AdvantageResult adv_all = OverallAdvantages(true);
   const int groups = AgentGroups();
   std::vector<int> anomalies(static_cast<size_t>(groups), 0);
   RunOptimizeTasks(groups, [&](int g) {

@@ -383,15 +383,12 @@ class HiMadrlTrainer : public Policy {
   void Optimize(IterationStats& stats);
 
   /// Network input rows of one optimize phase, built once and shared by
-  /// PolicyUpdate and LcfUpdate, plus the rows whose successor value needs
-  /// its own critic pass (SuccessorFallbackRows; empty for every sampler).
+  /// PolicyUpdate and LcfUpdate.
   struct OptimizeInputs {
     std::vector<std::vector<std::vector<float>>> actor;   ///< Per agent.
     /// Per agent, only when V^k reads the global state (StateCritic);
     /// otherwise V^k reads the actor's rows.
     std::vector<std::vector<std::vector<float>>> critic;
-    std::vector<std::vector<int>> obs_fallback;  ///< Per agent, on obs.
-    std::vector<int> state_fallback;             ///< On the global state.
   };
   OptimizeInputs BuildOptimizeInputs() const;
   /// V^k's input rows for agent k.
@@ -407,8 +404,7 @@ class HiMadrlTrainer : public Policy {
   };
   AgentAdvantages AdvantagesOf(int k, const OptimizeInputs& in) const;
   /// r_all under V_all (Eqns. 29, 31).
-  AdvantageResult OverallAdvantages(const OptimizeInputs& in,
-                                    bool normalize) const;
+  AdvantageResult OverallAdvantages(bool normalize) const;
 
   /// Returns {mean actor grad norm, mean value loss}.
   std::pair<float, float> PolicyUpdate(const OptimizeInputs& in);
@@ -439,7 +435,7 @@ class HiMadrlTrainer : public Policy {
   EpochStats AgentPolicyEpoch(int k, const OptimizeInputs& in,
                               const EpochDraws& draws);
   /// One epoch of V_all on r_all (Line 20); returns its anomalies.
-  int OverallValueEpoch(const OptimizeInputs& in, const Minibatches& batches);
+  int OverallValueEpoch(const Minibatches& batches);
   /// Agent k's LCF meta-update over one M2 epoch (Eqns. 30-32); returns
   /// its anomalies.
   int AgentLcfEpoch(int k, const OptimizeInputs& in,

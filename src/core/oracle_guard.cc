@@ -13,6 +13,27 @@ namespace agsc::core {
 namespace {
 // Timeslots stepped by each env self-check of the trainer.
 constexpr int kOracleCheckSteps = 16;
+
+/// Compares `a` and `b` after `when` ("Reset" or "Step t"): their results
+/// `ra` and `rb`, then every agent's neighbor sets.
+OracleCheckResult CompareAfter(const std::string& when, const env::ScEnv& a,
+                               const env::StepResult& ra, const env::ScEnv& b,
+                               const env::StepResult& rb) {
+  if (ra != rb) return {false, when + " differs"};
+  for (int k = 0; k < a.num_agents(); ++k) {
+    const char* set = nullptr;
+    if (a.HeterogeneousNeighbors(k) != b.HeterogeneousNeighbors(k)) {
+      set = "heterogeneous";
+    } else if (a.HomogeneousNeighbors(k) != b.HomogeneousNeighbors(k)) {
+      set = "homogeneous";
+    }
+    if (set) {
+      return {false, when + ": agent " + std::to_string(k) + "'s " + set +
+                         " neighbors differ"};
+    }
+  }
+  return {};
+}
 }  // namespace
 
 OracleCheckResult NnKernelSelfCheck() {
@@ -49,6 +70,25 @@ OracleCheckResult NnKernelSelfCheck() {
   return {};
 }
 
+OracleCheckResult LockStepCompare(env::ScEnv& fast, env::ScEnv& reference,
+                                  int steps) {
+  env::StepResult sf, so;
+  fast.Reset(sf);
+  reference.Reset(so);
+  OracleCheckResult result = CompareAfter("Reset", fast, sf, reference, so);
+  util::Rng action_rng(0x0AC1E0ACULL);
+  std::vector<env::UvAction> actions(static_cast<size_t>(fast.num_agents()));
+  for (int t = 0; result.ok && t < steps && !sf.done; ++t) {
+    for (env::UvAction& a : actions) {
+      a = {action_rng.Uniform(-1.0, 1.0), action_rng.Uniform(-1.0, 1.0)};
+    }
+    fast.Step(actions, sf);
+    reference.Step(actions, so);
+    result = CompareAfter("Step " + std::to_string(t), fast, sf, reference, so);
+  }
+  return result;
+}
+
 OracleCheckResult LockStepEnvCheck(const env::ScEnv& env, Fallbacks downgrade,
                                    int steps) {
   env::ScEnv fast(env);
@@ -62,21 +102,7 @@ OracleCheckResult LockStepEnvCheck(const env::ScEnv& env, Fallbacks downgrade,
       (from.env_fast_math && (downgrade & kFallbackChannel) != 0)) {
     return {};
   }
-  env::StepResult sf, so;
-  fast.Reset(sf);
-  oracle.Reset(so);
-  if (sf != so) return {false, "Reset differs"};
-  util::Rng action_rng(0x0AC1E0ACULL);
-  std::vector<env::UvAction> actions(static_cast<size_t>(fast.num_agents()));
-  for (int t = 0; t < steps && !sf.done; ++t) {
-    for (env::UvAction& a : actions) {
-      a = {action_rng.Uniform(-1.0, 1.0), action_rng.Uniform(-1.0, 1.0)};
-    }
-    fast.Step(actions, sf);
-    oracle.Step(actions, so);
-    if (sf != so) return {false, "Step " + std::to_string(t) + " differs"};
-  }
-  return {};
+  return LockStepCompare(fast, oracle, steps);
 }
 
 void ApplyEnvFallbacks(Fallbacks bits, env::ScEnv& env) {

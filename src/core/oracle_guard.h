@@ -49,15 +49,22 @@ extern const std::array<OraclePair, 3> kOraclePairs;
 /// direction exists, so a downgrade is sticky.
 void ApplyEnvFallbacks(Fallbacks bits, env::ScEnv& env);
 
-/// Runs two copies of `env` in lock-step for up to `steps` random-action
-/// timeslots, one as it is and one downgraded by ApplyEnvFallbacks with
-/// `downgrade`, and compares every StepResult field bit-exactly. Both copies
-/// start from `env`'s current RNG state, so they see identical episode
-/// randomness; actions come from a private fixed-seed RNG, and `env` itself
-/// is never mutated. Trivially passes when the downgrade leaves `env`'s
-/// paths as they are, and for the channel under `env_fast_math`: the fast
-/// tier deviates from libm bit patterns by design (its acceptance is
-/// statistical, pinned by tests).
+/// Resets `fast` and `reference` and steps them in lock-step for up to
+/// `steps` timeslots with the same random actions (from a private fixed-seed
+/// RNG). After the Reset and after every Step it compares every StepResult
+/// field and every agent's HeterogeneousNeighbors and HomogeneousNeighbors
+/// (the h-CoPO neighbor sets the samplers store) bit-exactly; `detail` names
+/// the first differing step, and the agent for a neighbor set.
+OracleCheckResult LockStepCompare(env::ScEnv& fast, env::ScEnv& reference,
+                                  int steps);
+
+/// LockStepCompare on two copies of `env`, one as it is and one downgraded
+/// by ApplyEnvFallbacks with `downgrade`. Both copies start from `env`'s
+/// current RNG state, so they see identical episode randomness, and `env`
+/// itself is never mutated. Trivially passes when the downgrade leaves
+/// `env`'s paths as they are, and for the channel under `env_fast_math`:
+/// the fast tier deviates from libm bit patterns by design (its acceptance
+/// is statistical, pinned by tests).
 OracleCheckResult LockStepEnvCheck(const env::ScEnv& env, Fallbacks downgrade,
                                    int steps);
 

@@ -31,26 +31,15 @@ AdvantageResult GaeAdvantages(const std::vector<float>& rewards,
                               const std::vector<uint8_t>& dones, float gamma,
                               float lambda);
 
-/// Successor values without a second critic pass. The sampler appends o_t
-/// and then makes o_{t+1} the next step's o_t, so within an episode
-/// `next_rows[t]` is byte-for-byte `rows[t + 1]`, and a critic that maps
-/// each input row on its own gives V(next_rows[t]) == values[t + 1]. Both
-/// estimators above ignore next_values on done rows. This returns the rows
-/// that still need the critic on `next_rows[t]`: not done, and either the
-/// last row or one whose next row is not byte-equal to row t + 1. Empty for
-/// every buffer the samplers collect.
-std::vector<int> SuccessorFallbackRows(
-    const std::vector<std::vector<float>>& rows,
-    const std::vector<std::vector<float>>& next_rows,
-    const std::vector<uint8_t>& dones);
-
-/// next_values for the estimators from values = V(rows): values[t + 1] on
-/// non-done rows, `fallback_values[i]` (the critic on next_rows[t]) on row
-/// t = `fallback[i]`, and 0 on done rows, which no estimator reads.
+/// Successor values without a second critic pass. The sampler stores o_t as
+/// row t and its successor o_{t+1} as row t + 1, and keeps only whole
+/// episodes, so for a critic that maps each input row on its own
+/// V(o_{t+1}) == values[t + 1] on every non-done row. Returns values[t + 1]
+/// there and 0 on done rows, which no estimator above reads. Throws
+/// std::invalid_argument on a length mismatch, or when the last row is not
+/// done: its successor is not in the buffer.
 std::vector<float> SuccessorValues(const std::vector<float>& values,
-                                   const std::vector<uint8_t>& dones,
-                                   const std::vector<int>& fallback,
-                                   const std::vector<float>& fallback_values);
+                                   const std::vector<uint8_t>& dones);
 
 /// In-place standardization to zero mean / unit std (no-op when the std is
 /// ~0 or the vector has fewer than 2 entries).

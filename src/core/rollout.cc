@@ -10,7 +10,6 @@ namespace agsc::core {
 
 void AgentRollout::Clear() {
   obs.clear();
-  next_obs.clear();
   action_dir.clear();
   action_speed.clear();
   logp_old.clear();
@@ -44,7 +43,6 @@ void AppendVec(std::vector<T>& dst, std::vector<T>&& src) {
 
 void AgentRollout::Append(AgentRollout&& other) {
   AppendVec(obs, std::move(other.obs));
-  AppendVec(next_obs, std::move(other.next_obs));
   AppendVec(action_dir, std::move(other.action_dir));
   AppendVec(action_speed, std::move(other.action_speed));
   AppendVec(logp_old, std::move(other.logp_old));
@@ -66,7 +64,6 @@ void MultiAgentBuffer::Append(MultiAgentBuffer&& other) {
     agents[k].Append(std::move(other.agents[k]));
   }
   AppendVec(states, std::move(other.states));
-  AppendVec(next_states, std::move(other.next_states));
   AppendVec(reward_all, std::move(other.reward_all));
   AppendVec(done, std::move(other.done));
 }
@@ -87,10 +84,6 @@ nn::Tensor AgentRollout::ObsBatch(const std::vector<int>& indices) const {
   return PackBatch(obs, indices);
 }
 
-nn::Tensor AgentRollout::NextObsBatch(const std::vector<int>& indices) const {
-  return PackBatch(next_obs, indices);
-}
-
 nn::Tensor AgentRollout::ActionBatch(const std::vector<int>& indices) const {
   nn::Tensor batch(static_cast<int>(indices.size()), 2);
   for (size_t r = 0; r < indices.size(); ++r) {
@@ -103,18 +96,12 @@ nn::Tensor AgentRollout::ActionBatch(const std::vector<int>& indices) const {
 void MultiAgentBuffer::Clear() {
   for (AgentRollout& a : agents) a.Clear();
   states.clear();
-  next_states.clear();
   reward_all.clear();
   done.clear();
 }
 
 nn::Tensor MultiAgentBuffer::StateBatch(const std::vector<int>& indices) const {
   return PackBatch(states, indices);
-}
-
-nn::Tensor MultiAgentBuffer::NextStateBatch(
-    const std::vector<int>& indices) const {
-  return PackBatch(next_states, indices);
 }
 
 std::vector<int> AllIndices(size_t n) {

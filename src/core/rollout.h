@@ -13,7 +13,10 @@ namespace agsc::core {
 /// "data buffer" of Algorithm 1, Lines 5 and 11).
 struct AgentRollout {
   std::vector<std::vector<float>> obs;       ///< o_t.
-  std::vector<std::vector<float>> next_obs;  ///< o_{t+1}.
+  /// Never written: o_{t+1} of a non-done row is obs[t + 1], since the
+  /// sampler stores each row once (DESIGN item 15). Still declared because
+  /// perfbench/agsc_perfbench.cc reads it; it goes when that reader does.
+  std::vector<std::vector<float>> next_obs;
   std::vector<float> action_dir;             ///< Raw action dim 0.
   std::vector<float> action_speed;           ///< Raw action dim 1.
   std::vector<float> logp_old;               ///< log pi_old(a|o) at sampling.
@@ -36,8 +39,6 @@ struct AgentRollout {
 
   /// Packs rows `indices` of `obs` into a batch tensor.
   nn::Tensor ObsBatch(const std::vector<int>& indices) const;
-  /// Packs rows `indices` of `next_obs` into a batch tensor.
-  nn::Tensor NextObsBatch(const std::vector<int>& indices) const;
   /// Packs rows `indices` of the 2-D actions into an Nx2 tensor.
   nn::Tensor ActionBatch(const std::vector<int>& indices) const;
 };
@@ -47,7 +48,8 @@ struct AgentRollout {
 struct MultiAgentBuffer {
   std::vector<AgentRollout> agents;
   std::vector<std::vector<float>> states;       ///< s_t.
-  std::vector<std::vector<float>> next_states;  ///< s_{t+1}.
+  /// Never written, like AgentRollout::next_obs: s_{t+1} is states[t + 1].
+  std::vector<std::vector<float>> next_states;
   std::vector<float> reward_all;  ///< Sum over agents of r^k (Eqn. 29).
   std::vector<uint8_t> done;
 
@@ -62,7 +64,6 @@ struct MultiAgentBuffer {
   void Append(MultiAgentBuffer&& other);
 
   nn::Tensor StateBatch(const std::vector<int>& indices) const;
-  nn::Tensor NextStateBatch(const std::vector<int>& indices) const;
 };
 
 /// Packs rows `indices` of `rows` (all of equal length) into a tensor.

@@ -89,13 +89,12 @@ void Sampler::CheckStop(int round, int timeslot) const {
 
 void Sampler::CommitStep(CollectState& st, int w) {
   const size_t i = static_cast<size_t>(w);
-  const env::StepResult& cur = st.cur[i];
+  env::StepResult& cur = st.cur[i];
   const env::StepResult& next = st.nxt[i];
   MultiAgentBuffer& b = st.buffers[i];
   for (size_t k = 0; k < b.agents.size(); ++k) {
     AgentRollout& ar = b.agents[k];
-    ar.obs.push_back(cur.observations[k]);
-    ar.next_obs.push_back(next.observations[k]);
+    ar.obs.push_back(std::move(cur.observations[k]));
     ar.action_dir.push_back(st.raw[i][k][0]);
     ar.action_speed.push_back(st.raw[i][k][1]);
     ar.logp_old.push_back(st.logps[i][k]);
@@ -104,8 +103,7 @@ void Sampler::CommitStep(CollectState& st, int w) {
     ar.ho_neighbors.push_back(std::move(st.ho[i][k]));
     ar.done.push_back(next.done ? 1 : 0);
   }
-  b.states.push_back(cur.state);
-  b.next_states.push_back(next.state);
+  b.states.push_back(std::move(cur.state));
   b.done.push_back(next.done ? 1 : 0);
   if (next.done) st.running[i] = 0;
   std::swap(st.cur[i], st.nxt[i]);

@@ -30,6 +30,10 @@ namespace agsc::core {
 ///  * per-worker buffers and episode metrics are merged in stable
 ///    worker-index order, independent of arrival or scheduling order; the
 ///    buffers' rows move into the caller's buffer, they are not copied;
+///  * every observation and state is stored once: a step's o_t becomes row
+///    t, and its successor o_{t+1} is row t + 1 of the same episode, so the
+///    buffer keeps no next-row copies (AgentRollout::next_obs and
+///    MultiAgentBuffer::next_states stay empty);
 ///  * the RNG stream layout: worker 0 samples from the primary sampling
 ///    stream and steps on the primary environment's stream, both passed at
 ///    construction (so oracle checks and checkpoints see the same streams
@@ -63,7 +67,8 @@ class Sampler {
 
   /// Collects `episodes` full episodes through `act`, appending the merged
   /// experience to `buffer` and one `Metrics` row per episode to `metrics`
-  /// (both in stable worker-index order).
+  /// (both in stable worker-index order). Each episode's rows end on a done
+  /// row, so the successor of every other row is the row after it.
   ///
   /// Throws util::InterruptedError if the stop check fires at a timeslot
   /// boundary; transport failures propagate as documented by each
@@ -125,8 +130,10 @@ class Sampler {
     std::vector<std::vector<env::Metrics>> metrics;
     /// cur[w] is the observation the next actions are sampled from. A step
     /// writes its successor into nxt[w] (and the successor's neighbor sets
-    /// into he[w]/ho[w]); CommitStep then swaps the two, so nxt[w]'s
-    /// storage is reused instead of reallocated every step.
+    /// into he[w]/ho[w]); CommitStep then moves cur[w]'s rows into the
+    /// buffer and swaps the two, and the following step refills the
+    /// emptied rows (ScEnv::Step rebuilds them, ProcSampler moves the
+    /// decoded rows in).
     std::vector<env::StepResult> cur;
     std::vector<env::StepResult> nxt;
     std::vector<std::vector<std::vector<int>>> he;
@@ -167,6 +174,8 @@ class Sampler {
 
   /// Appends worker w's transition cur -> nxt to its buffer, marks the
   /// worker finished when the episode is done, and promotes nxt to cur.
+  /// cur's observations and state move into the buffer as row t; nxt's
+  /// become row t + 1 at the next call, unless this step ends the episode.
   static void CommitStep(CollectState& st, int w);
 
   /// The sticky fallbacks, for transports to apply at an episode start.

@@ -35,6 +35,7 @@ set(_agsc_label_rows
   golden_digest_test   "."                       "fast,rollout"
   supervisor_test      "^SamplerSupervisionTest\\." "slow,rollout"
   distributions_test   "^DiagGaussianRowTest\\."    "fast,rollout"
+  ppo_rollout_test     "^(SuccessorValuesTest|RolloutTest)\\." "fast,rollout"
   # Admission, fairness, brownout and quarantine: `ctest -L overload`.
   dispatch_server_test "${_agsc_overload_tests}" "fast,overload"
   serving_soak_test    "${_agsc_overload_tests}" "slow,serving,overload"

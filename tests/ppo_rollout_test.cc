@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -76,67 +78,64 @@ TEST(AdvantageTest, GaeResetsAtEpisodeBoundary) {
   EXPECT_NEAR(gae.advantages[0], 1.0f, 1e-6);
 }
 
+/// The bit patterns of `xs`, so -0/+0 and NaNs compare exactly.
+std::vector<uint32_t> Bits(const std::vector<float>& xs) {
+  std::vector<uint32_t> bits;
+  for (float x : xs) bits.push_back(std::bit_cast<uint32_t>(x));
+  return bits;
+}
+
 TEST(SuccessorValuesTest, EveryReadValueMatchesTheCriticOnTheNextRow) {
-  // Hand-built stream: rows 0-1 and 3-5 follow each other, except that row
-  // 1's next row is not row 2 (a non-done row the byte check must catch),
-  // row 2 ends an episode (its next row is a terminal observation nobody
-  // reads), and row 5, the last row, is cut off mid-episode.
+  // Three whole episodes (rows 0-1, 2-4 and 5) stored the way the sampler
+  // stores them: o_{t+1} of a non-done row is row t + 1. A direct critic
+  // pass on each row's successor must give bit-identical successor values
+  // and one-step and GAE advantages.
   util::Rng rng(21);
-  auto random_row = [&] {
-    std::vector<float> row(3);
+  std::vector<std::vector<float>> rows(6, std::vector<float>(3));
+  for (std::vector<float>& row : rows) {
     for (float& x : row) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
-    return row;
-  };
-  std::vector<std::vector<float>> rows;
-  for (int t = 0; t < 6; ++t) rows.push_back(random_row());
-  std::vector<std::vector<float>> next_rows;
-  for (int t = 0; t < 5; ++t) next_rows.push_back(rows[t + 1]);
-  next_rows.push_back(random_row());
-  next_rows[1] = random_row();
-  next_rows[2] = random_row();
-  const std::vector<uint8_t> dones = {0, 0, 1, 0, 0, 0};
+  }
+  const std::vector<uint8_t> dones = {0, 1, 0, 0, 1, 1};
 
   NetConfig net;
   net.hidden = {8};
   const ValueNet critic(3, net, rng);
-  const std::vector<int> fallback =
-      SuccessorFallbackRows(rows, next_rows, dones);
-  EXPECT_EQ(fallback, (std::vector<int>{1, 5}));
-  std::vector<std::vector<float>> fallback_rows;
-  for (int t : fallback) fallback_rows.push_back(next_rows[t]);
   const std::vector<float> values = critic.Values(rows);
-  const std::vector<float> next_values = SuccessorValues(
-      values, dones, fallback, critic.Values(fallback_rows));
+  const std::vector<float> next_values = SuccessorValues(values, dones);
 
-  // The direct second pass the successor step replaces.
-  const std::vector<float> direct = critic.Values(next_rows);
-  ASSERT_EQ(next_values.size(), rows.size());
+  // The second critic pass the successor step replaces, one row at a time.
+  std::vector<float> direct(rows.size(), 0.0f);
   for (size_t t = 0; t < rows.size(); ++t) {
-    if (dones[t]) continue;
-    EXPECT_EQ(next_values[t], critic.Values({next_rows[t]})[0]) << "row " << t;
-    EXPECT_EQ(next_values[t], direct[t]) << "row " << t;
+    if (!dones[t]) direct[t] = critic.Values({rows[t + 1]})[0];
   }
+  EXPECT_EQ(Bits(next_values), Bits(direct));
   const std::vector<float> rewards = {0.5f, -1.0f, 2.0f, 0.25f, 1.5f, -0.5f};
   const AdvantageResult one = OneStepAdvantages(rewards, values, next_values,
                                                 dones, 0.95f);
   const AdvantageResult one_direct =
       OneStepAdvantages(rewards, values, direct, dones, 0.95f);
-  EXPECT_EQ(one.advantages, one_direct.advantages);
-  EXPECT_EQ(one.returns, one_direct.returns);
+  EXPECT_EQ(Bits(one.advantages), Bits(one_direct.advantages));
+  EXPECT_EQ(Bits(one.returns), Bits(one_direct.returns));
   const AdvantageResult gae =
       GaeAdvantages(rewards, values, next_values, dones, 0.95f, 0.9f);
   const AdvantageResult gae_direct =
       GaeAdvantages(rewards, values, direct, dones, 0.95f, 0.9f);
-  EXPECT_EQ(gae.advantages, gae_direct.advantages);
-  EXPECT_EQ(gae.returns, gae_direct.returns);
+  EXPECT_EQ(Bits(gae.advantages), Bits(gae_direct.advantages));
+  EXPECT_EQ(Bits(gae.returns), Bits(gae_direct.returns));
 }
 
 TEST(SuccessorValuesTest, LengthMismatchThrows) {
-  EXPECT_THROW(SuccessorFallbackRows({{1.0f}}, {}, {0}),
+  EXPECT_THROW(SuccessorValues({1.0f, 2.0f}, {1}), std::invalid_argument);
+  EXPECT_THROW(SuccessorValues({1.0f}, {0, 1}), std::invalid_argument);
+}
+
+TEST(SuccessorValuesTest, LastRowNotDoneThrows) {
+  // A buffer cut off mid-episode: its last row's successor was never stored.
+  EXPECT_THROW(SuccessorValues({1.0f, 2.0f, 3.0f}, {1, 0, 0}),
                std::invalid_argument);
-  EXPECT_THROW(SuccessorValues({1.0f, 2.0f}, {0}, {}, {}),
-               std::invalid_argument);
-  EXPECT_THROW(SuccessorValues({1.0f}, {0}, {0}, {}), std::invalid_argument);
+  EXPECT_EQ(SuccessorValues({1.0f, 2.0f, 3.0f}, {1, 0, 1}),
+            (std::vector<float>{0.0f, 3.0f, 0.0f}));
+  EXPECT_TRUE(SuccessorValues({}, {}).empty());
 }
 
 TEST(NormalizeTest, ZeroMeanUnitStd) {
@@ -256,11 +255,8 @@ TEST(RolloutTest, MinibatchesPartitionAllIndices) {
 TEST(RolloutTest, MultiAgentBufferStateBatches) {
   MultiAgentBuffer buffer(2);
   buffer.states = {{1, 2}, {3, 4}};
-  buffer.next_states = {{5, 6}, {7, 8}};
   const nn::Tensor s = buffer.StateBatch({1});
   EXPECT_EQ(s(0, 0), 3.0f);
-  const nn::Tensor sn = buffer.NextStateBatch({0});
-  EXPECT_EQ(sn(0, 1), 6.0f);
   buffer.Clear();
   EXPECT_EQ(buffer.size(), 0u);
 }

@@ -13,7 +13,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -95,7 +94,6 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
   ASSERT_EQ(a.agents.size(), b.agents.size());
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.states, b.states);
-  EXPECT_EQ(a.next_states, b.next_states);
   EXPECT_EQ(a.reward_all, b.reward_all);
   EXPECT_EQ(a.done, b.done);
   for (size_t k = 0; k < a.agents.size(); ++k) {
@@ -103,7 +101,6 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
     const core::AgentRollout& y = b.agents[k];
     ASSERT_EQ(x.size(), y.size()) << "agent " << k;
     EXPECT_EQ(x.obs, y.obs) << "agent " << k;
-    EXPECT_EQ(x.next_obs, y.next_obs) << "agent " << k;
     EXPECT_EQ(x.action_dir, y.action_dir) << "agent " << k;
     EXPECT_EQ(x.action_speed, y.action_speed) << "agent " << k;
     EXPECT_EQ(x.logp_old, y.logp_old) << "agent " << k;
@@ -268,42 +265,40 @@ TEST(ProcSamplerTest, MoreWorkersThanEpisodesStillMatches) {
   ExpectMetricsBitEqual(vec_metrics, proc_metrics);
 }
 
-TEST(ProcSamplerTest, NextRowIsTheFollowingRowWithinEpisodes) {
-  // The trainer takes V(next_obs[t]) from V(obs[t + 1]) wherever the two
-  // rows are byte-equal and runs a second critic pass on every other
-  // non-done row, so a sampler that broke this would only show up as a
-  // slower optimize phase. Pin it for both transports.
+TEST(ProcSamplerTest, RowsAreStoredOnceAndEpisodesEndOnDone) {
+  // The trainer reads V(o_{t+1}) as V(obs[t + 1]) (SuccessorValues), which
+  // holds when every episode's rows sit in order and end on its one done
+  // row, and the buffer keeps no next-row copies. A moved-from row stored by
+  // mistake would be empty, so every row must have the env's width. Pin it
+  // for both transports.
   struct Collected {
     std::string name;
+    int episodes;
     core::MultiAgentBuffer buffer;
   };
   std::vector<Collected> runs;
-  runs.push_back({"vec W=1", VecCollect(1, 3, nullptr)});
-  runs.push_back({"vec W=3", VecCollect(3, 5, nullptr)});
-  runs.push_back({"proc W=2", ProcCollect(2, 5, nullptr)});
-  auto expect_next_is_following =
-      [](const std::vector<std::vector<float>>& rows,
-         const std::vector<std::vector<float>>& next_rows,
-         const std::vector<uint8_t>& dones) {
-        ASSERT_EQ(next_rows.size(), rows.size());
-        ASSERT_EQ(dones.size(), rows.size());
-        ASSERT_TRUE(dones.back());
-        for (size_t t = 0; t + 1 < rows.size(); ++t) {
-          if (dones[t]) continue;
-          ASSERT_EQ(next_rows[t].size(), rows[t + 1].size()) << "row " << t;
-          EXPECT_EQ(std::memcmp(next_rows[t].data(), rows[t + 1].data(),
-                                rows[t + 1].size() * sizeof(float)),
-                    0)
-              << "row " << t;
-        }
-      };
+  runs.push_back({"vec W=1", 3, VecCollect(1, 3, nullptr)});
+  runs.push_back({"vec W=3", 5, VecCollect(3, 5, nullptr)});
+  runs.push_back({"proc W=2", 5, ProcCollect(2, 5, nullptr)});
+  const env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+  auto expect_episodes = [](const std::vector<std::vector<float>>& rows,
+                            const std::vector<uint8_t>& dones, int episodes,
+                            int width) {
+    ASSERT_EQ(rows.size(), static_cast<size_t>(episodes * kTimeslots));
+    ASSERT_EQ(dones.size(), rows.size());
+    for (size_t t = 0; t < rows.size(); ++t) {
+      EXPECT_EQ(rows[t].size(), static_cast<size_t>(width)) << "row " << t;
+      EXPECT_EQ(dones[t], (t + 1) % kTimeslots == 0 ? 1 : 0) << "row " << t;
+    }
+  };
   for (const Collected& run : runs) {
     SCOPED_TRACE(run.name);
     const core::MultiAgentBuffer& b = run.buffer;
-    ASSERT_GT(b.size(), 0u);
-    expect_next_is_following(b.states, b.next_states, b.done);
+    EXPECT_TRUE(b.next_states.empty());
+    expect_episodes(b.states, b.done, run.episodes, env.state_dim());
     for (const core::AgentRollout& r : b.agents) {
-      expect_next_is_following(r.obs, r.next_obs, r.done);
+      EXPECT_TRUE(r.next_obs.empty());
+      expect_episodes(r.obs, r.done, run.episodes, env.obs_dim());
     }
   }
 }

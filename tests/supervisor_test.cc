@@ -466,6 +466,30 @@ TEST(OracleGuardTest, EnvSelfCheckDoesNotMutateTheEnv) {
   EXPECT_EQ(before.observations, after.observations);
 }
 
+TEST(OracleGuardTest, LockStepCompareCatchesNeighborOnlyDisagreement) {
+  // The neighbor range enters only HomogeneousNeighbors, so these two envs
+  // give equal StepResults at every slot and differ only in the HO sets the
+  // samplers store, as a broken indexed neighbor query would. A check of
+  // StepResult fields alone passes them.
+  env::EnvConfig wide = SmallEnvConfig();
+  wide.num_uavs = 2;
+  wide.num_ugvs = 2;
+  wide.neighbor_range_fraction = 1.0;
+  env::EnvConfig narrow = wide;
+  narrow.neighbor_range_fraction = 0.0;
+  env::ScEnv fast(wide, SmallDataset(), 11);
+  env::ScEnv reference(narrow, SmallDataset(), 11);
+  const core::OracleCheckResult result =
+      core::LockStepCompare(fast, reference, 6);
+  EXPECT_FALSE(result.ok);
+  // Every UV starts at the spawn point, where both ranges see the same
+  // sets, so the first difference is at a step, on agent 0 (a UAV).
+  EXPECT_EQ(result.detail.rfind("Step ", 0), 0u) << result.detail;
+  EXPECT_NE(result.detail.find(": agent 0's homogeneous neighbors differ"),
+            std::string::npos)
+      << result.detail;
+}
+
 // ---------------------------------------------------------------------------
 // Trainer-level supervision.
 // ---------------------------------------------------------------------------

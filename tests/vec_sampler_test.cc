@@ -83,7 +83,6 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
   ASSERT_EQ(a.agents.size(), b.agents.size());
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.states, b.states);
-  EXPECT_EQ(a.next_states, b.next_states);
   EXPECT_EQ(a.reward_all, b.reward_all);
   EXPECT_EQ(a.done, b.done);
   for (size_t k = 0; k < a.agents.size(); ++k) {
@@ -91,7 +90,6 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
     const core::AgentRollout& y = b.agents[k];
     ASSERT_EQ(x.size(), y.size()) << "agent " << k;
     EXPECT_EQ(x.obs, y.obs) << "agent " << k;
-    EXPECT_EQ(x.next_obs, y.next_obs) << "agent " << k;
     EXPECT_EQ(x.action_dir, y.action_dir) << "agent " << k;
     EXPECT_EQ(x.action_speed, y.action_speed) << "agent " << k;
     EXPECT_EQ(x.logp_old, y.logp_old) << "agent " << k;
@@ -280,7 +278,6 @@ void SequentialCollect(
       for (int k = 0; k < num_agents; ++k) {
         core::AgentRollout& r = buffer.agents[k];
         r.obs.push_back(cur.observations[k]);
-        r.next_obs.push_back(next.observations[k]);
         r.action_dir.push_back(raw[k][0]);
         r.action_speed.push_back(raw[k][1]);
         r.logp_old.push_back(logps[k]);
@@ -290,7 +287,6 @@ void SequentialCollect(
         r.done.push_back(done ? 1 : 0);
       }
       buffer.states.push_back(cur.state);
-      buffer.next_states.push_back(next.state);
       buffer.done.push_back(done ? 1 : 0);
       cur = std::move(next);
     }

@@ -9,12 +9,11 @@ namespace agsc::core {
 
 namespace {
 
-std::vector<int> LayerSizes(int in, const std::vector<int>& hidden, int out) {
-  std::vector<int> sizes;
-  sizes.push_back(in);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(out);
-  return sizes;
+/// p_mu(.|o) for every row of `batch`: the classifier's values-only forward
+/// (no graph) and a row softmax.
+nn::Tensor ClassProbabilities(const nn::Mlp& net, const nn::Tensor& batch) {
+  return nn::CategoricalDist(nn::Variable::Constant(net.Infer(batch)))
+      .Probabilities();
 }
 
 }  // namespace
@@ -31,12 +30,9 @@ EoiClassifier::EoiClassifier(int obs_dim, int num_agents,
 std::vector<float> EoiClassifier::Probabilities(
     const std::vector<float>& obs) const {
   nn::Tensor row(1, static_cast<int>(obs.size()));
-  for (size_t i = 0; i < obs.size(); ++i) row[static_cast<int>(i)] = obs[i];
-  nn::CategoricalDist dist(net_.Forward(row));
-  const nn::Tensor p = dist.Probabilities();
-  std::vector<float> out(p.cols());
-  for (int c = 0; c < p.cols(); ++c) out[c] = p(0, c);
-  return out;
+  std::copy(obs.begin(), obs.end(), row.data());
+  const nn::Tensor p = ClassProbabilities(net_, row);
+  return std::vector<float>(p.data(), p.data() + p.size());
 }
 
 float EoiClassifier::IntrinsicReward(int k,
@@ -47,9 +43,8 @@ float EoiClassifier::IntrinsicReward(int k,
 std::vector<float> EoiClassifier::IntrinsicRewards(
     int k, const std::vector<std::vector<float>>& obs_rows) const {
   if (obs_rows.empty()) return {};
-  nn::Tensor batch = PackBatch(obs_rows, AllIndices(obs_rows.size()));
-  nn::CategoricalDist dist(net_.Forward(batch));
-  const nn::Tensor p = dist.Probabilities();
+  const nn::Tensor p = ClassProbabilities(
+      net_, PackBatch(obs_rows, AllIndices(obs_rows.size())));
   std::vector<float> out(p.rows());
   for (int r = 0; r < p.rows(); ++r) out[r] = p(r, k);
   return out;

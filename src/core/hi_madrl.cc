@@ -141,26 +141,11 @@ HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
   sampler_->set_step_deadline_ms(config_.watchdog_ms);
 }
 
-std::vector<float> HiMadrlTrainer::ActorInput(
+std::vector<float> HiMadrlTrainer::ActorInputFor(
     int k, const std::vector<float>& obs) const {
-  if (!config_.share_params) return obs;
-  std::vector<float> input = obs;
-  for (int j = 0; j < env_.num_agents(); ++j) {
-    input.push_back(j == k ? 1.0f : 0.0f);
-  }
-  return input;
-}
-
-std::vector<float> HiMadrlTrainer::CriticInput(
-    int k, const std::vector<float>& obs,
-    const std::vector<float>& state) const {
-  std::vector<float> input = StateCritic() ? state : obs;
-  if (config_.share_params) {
-    for (int j = 0; j < env_.num_agents(); ++j) {
-      input.push_back(j == k ? 1.0f : 0.0f);
-    }
-  }
-  return input;
+  std::vector<float> row(obs.size() + IdAgents());
+  WriteInputRow(obs, k, IdAgents(), row);
+  return row;
 }
 
 bool HiMadrlTrainer::CollectForwardsInLanes() const {
@@ -201,13 +186,11 @@ void HiMadrlTrainer::BatchAct(
   // writes only its own agent's slice, so where it runs changes no bit.
   std::vector<float> means(static_cast<size_t>(num_agents) * rows * kDims);
   const auto forward = [&](int k) {
+    const size_t dim = static_cast<size_t>(actor_input_dim_);
     nn::Tensor batch(rows, actor_input_dim_);
     for (int r = 0; r < rows; ++r) {
-      const std::vector<float>& o = (*obs[r])[k];
-      float* dst = batch.data() + static_cast<size_t>(r) * actor_input_dim_;
-      std::copy(o.begin(), o.end(), dst);
-      // ActorInput's one-hot agent id under share_params.
-      if (config_.share_params) dst[o.size() + k] = 1.0f;
+      WriteInputRow((*obs[r])[k], k, IdAgents(),
+                    {batch.data() + r * dim, dim});
     }
     const nn::Tensor mean = Nets(k).actor->mean_net().Infer(batch);
     std::copy(mean.data(), mean.data() + mean.size(),
@@ -353,8 +336,7 @@ AdvantageResult StreamAdvantages(const std::vector<float>& rewards,
 /// Advantages of one reward stream under critic `net` from a single critic
 /// pass over the stream's own input rows: successor values come from the
 /// same pass (SuccessorValues).
-AdvantageResult CriticAdvantages(const ValueNet& net,
-                                 const std::vector<std::vector<float>>& inputs,
+AdvantageResult CriticAdvantages(const ValueNet& net, const nn::Tensor& inputs,
                                  const std::vector<float>& rewards,
                                  const std::vector<uint8_t>& dones,
                                  const TrainConfig& config, bool normalize) {
@@ -398,58 +380,42 @@ void ZeroGrads(std::vector<nn::Variable> params) {
 
 }  // namespace
 
-HiMadrlTrainer::OptimizeInputs HiMadrlTrainer::BuildOptimizeInputs() const {
-  const int num_agents = env_.num_agents();
-  const size_t n = buffer_.size();
-  OptimizeInputs in;
-  in.actor.resize(num_agents);
-  in.critic.resize(num_agents);
-  for (int k = 0; k < num_agents; ++k) {
-    const AgentRollout& r = buffer_.agents[k];
-    in.actor[k].reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      in.actor[k].push_back(ActorInput(k, r.obs[i]));
-    }
-    if (StateCritic()) {
-      in.critic[k].reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        in.critic[k].push_back(CriticInput(k, r.obs[i], buffer_.states[i]));
-      }
-    }
-  }
-  return in;
-}
-
-HiMadrlTrainer::AgentAdvantages HiMadrlTrainer::AdvantagesOf(
-    int k, const OptimizeInputs& in) const {
+HiMadrlTrainer::AgentAdvantages HiMadrlTrainer::AdvantagesOf(int k) const {
   const AgentNets& nets = Nets(k);
   const AgentRollout& r = buffer_.agents[k];
+  const auto advantages = [&](const ValueNet& net, const nn::Tensor& rows,
+                              const std::vector<float>& rewards) {
+    return CriticAdvantages(net, rows, rewards, r.done, config_, true);
+  };
+  // Agent k's observation rows are packed once for V_HE, V_HO and, unless
+  // it reads the global state, V^k.
+  const std::vector<int> all = AllIndices(buffer_.size());
+  const nn::Tensor obs = ActorBatch(k, all);
   AgentAdvantages adv;
-  adv.k = CriticAdvantages(*nets.value, CriticRows(in, k), r.reward, r.done,
-                           config_, true);
+  adv.k = StateCritic() ? advantages(*nets.value, CriticBatch(k, all), r.reward)
+                        : advantages(*nets.value, obs, r.reward);
   if (config_.use_copo) {
-    adv.he = CriticAdvantages(*nets.value_he, in.actor[k], r.reward_he, r.done,
-                              config_, true);
-    adv.ho = CriticAdvantages(*nets.value_ho, in.actor[k], r.reward_ho, r.done,
-                              config_, true);
+    adv.he = advantages(*nets.value_he, obs, r.reward_he);
+    adv.ho = advantages(*nets.value_ho, obs, r.reward_ho);
   }
   return adv;
 }
 
 AdvantageResult HiMadrlTrainer::OverallAdvantages(bool normalize) const {
-  return CriticAdvantages(*value_all_, buffer_.states, buffer_.reward_all,
-                          buffer_.done, config_, normalize);
+  return CriticAdvantages(*value_all_,
+                          buffer_.StateBatch(AllIndices(buffer_.size())),
+                          buffer_.reward_all, buffer_.done, config_, normalize);
 }
 
 HiMadrlTrainer::EpochStats HiMadrlTrainer::AgentPolicyEpoch(
-    int k, const OptimizeInputs& in, const EpochDraws& draws) {
+    int k, const EpochDraws& draws) {
   AgentNets& nets = Nets(k);
   const AgentRollout& r = buffer_.agents[k];
   const size_t n = buffer_.size();
   EpochStats out;
 
   // Value predictions (no grad) and advantage streams (Eqn. 24).
-  const AgentAdvantages adv = AdvantagesOf(k, in);
+  const AgentAdvantages adv = AdvantagesOf(k);
 
   // Cooperation-aware advantage A_CO (Eqn. 27) or the base advantage.
   std::vector<float> a_co(n);
@@ -480,8 +446,7 @@ HiMadrlTrainer::EpochStats HiMadrlTrainer::AgentPolicyEpoch(
     const std::vector<int>& batch = draws.batches[b];
     // One constant input node for the minibatch, read by the actor and by
     // every critic whose input rows are the actor's.
-    const nn::Variable obs_b =
-        nn::Variable::Constant(PackBatch(in.actor[k], batch));
+    const nn::Variable obs_b = nn::Variable::Constant(ActorBatch(k, batch));
 
     // --- Actor: maximize J_CO (Eqn. 28) + entropy bonus. ---
     float actor_loss_val = 0.0f;
@@ -539,8 +504,7 @@ HiMadrlTrainer::EpochStats HiMadrlTrainer::AgentPolicyEpoch(
     };
     nets.value_opt->ZeroGrad();
     const nn::Variable critic_b =
-        StateCritic() ? nn::Variable::Constant(PackBatch(in.critic[k], batch))
-                      : obs_b;
+        StateCritic() ? nn::Variable::Constant(CriticBatch(k, batch)) : obs_b;
     const float v_loss_val = critic_loss(*nets.value, critic_b, adv.k);
     float aux_loss_val = 0.0f;
     if (config_.use_copo) {
@@ -607,8 +571,7 @@ void HiMadrlTrainer::RunOptimizeTasks(
   optimize_pool_->ParallelForStriped(count, task);
 }
 
-std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
-    const OptimizeInputs& in) {
+std::pair<float, float> HiMadrlTrainer::PolicyUpdate() {
   const int num_agents = env_.num_agents();
   const int epochs = config_.policy_epochs;
   const size_t n = buffer_.size();
@@ -646,7 +609,7 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
     const auto [first, last] = GroupAgents(task);
     for (int e = 0; e < epochs; ++e) {
       for (int k = first; k < last; ++k) {
-        stats[e][k] = AgentPolicyEpoch(k, in, draws[e][k]);
+        stats[e][k] = AgentPolicyEpoch(k, draws[e][k]);
       }
     }
   });
@@ -673,16 +636,14 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
               : 0.0f};
 }
 
-int HiMadrlTrainer::AgentLcfEpoch(int k, const OptimizeInputs& in,
-                                  const AgentAdvantages& adv,
+int HiMadrlTrainer::AgentLcfEpoch(int k, const AgentAdvantages& adv,
                                   const AdvantageResult& adv_all,
                                   const Minibatches& batches) {
   AgentNets& nets = Nets(k);
   const AgentRollout& r = buffer_.agents[k];
   int anomalies = 0;
   for (const std::vector<int>& batch : batches) {
-    const nn::Variable obs_b =
-        nn::Variable::Constant(PackBatch(in.actor[k], batch));
+    const nn::Variable obs_b = nn::Variable::Constant(ActorBatch(k, batch));
     const nn::Tensor act_b = r.ActionBatch(batch);
     std::vector<float> logp_old_b(batch.size()), adv_all_b(batch.size());
     nn::Tensor w_phi(static_cast<int>(batch.size()), 1);
@@ -769,7 +730,7 @@ int HiMadrlTrainer::AgentLcfEpoch(int k, const OptimizeInputs& in,
   return anomalies;
 }
 
-void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& in) {
+void HiMadrlTrainer::LcfUpdate() {
   if (!config_.use_copo || config_.lcf_epochs <= 0) return;
   const int num_agents = env_.num_agents();
   const size_t n = buffer_.size();
@@ -793,12 +754,12 @@ void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& in) {
     const auto [first, last] = GroupAgents(g);
     std::vector<AgentAdvantages> agent_adv;
     for (int k = first; k < last; ++k) {
-      agent_adv.push_back(AdvantagesOf(k, in));
+      agent_adv.push_back(AdvantagesOf(k));
     }
     for (const std::vector<Minibatches>& epoch : batches) {
       for (int k = first; k < last; ++k) {
-        anomalies[g] += AgentLcfEpoch(k, in, agent_adv[k - first], adv_all,
-                                      epoch[k]);
+        anomalies[g] +=
+            AgentLcfEpoch(k, agent_adv[k - first], adv_all, epoch[k]);
       }
     }
   });
@@ -808,11 +769,10 @@ void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& in) {
 void HiMadrlTrainer::Optimize(IterationStats& stats) {
   stats.eoi_loss = UpdateEoiAndRewards();
   SnapshotOldPolicies();
-  const OptimizeInputs inputs = BuildOptimizeInputs();
-  const auto [grad_norm, value_loss] = PolicyUpdate(inputs);
+  const auto [grad_norm, value_loss] = PolicyUpdate();
   stats.actor_grad_norm = grad_norm;
   stats.value_loss = value_loss;
-  LcfUpdate(inputs);
+  LcfUpdate();
 }
 
 void HiMadrlTrainer::OptimizeOnCurrentBuffer() {
@@ -987,8 +947,17 @@ env::UvAction HiMadrlTrainer::Act(const env::ScEnv& env, int k,
                                   const std::vector<float>& obs,
                                   util::Rng& rng, bool deterministic) {
   (void)env;
-  const std::vector<float> action =
-      Nets(k).actor->Act(ActorInput(k, obs), rng, deterministic, nullptr);
+  // BatchAct's path on one row: the tape-free mean, then the mode or a draw
+  // around it, bit-identical to the graph distribution's Mode and Sample
+  // (HiMadrlTest.ActBitEqualsGraphModeAndSample).
+  const GaussianActor& actor = *Nets(k).actor;
+  nn::Tensor row(1, actor_input_dim_);
+  WriteInputRow(obs, k, IdAgents(), {row.data(), row.data() + row.size()});
+  const nn::Tensor mean = actor.mean_net().Infer(row);
+  if (deterministic) return {mean[0], mean[1]};
+  std::array<float, env::ScEnv::kActionDim> action;
+  nn::SampleDiagGaussianRow(mean.data(), actor.log_std().value().data(),
+                            env::ScEnv::kActionDim, rng, action.data());
   return {action[0], action[1]};
 }
 

@@ -317,12 +317,10 @@ class HiMadrlTrainer : public Policy {
   /// action for `k` is actor(k).mean_net() on ActorInputFor(k, obs).
   const GaussianActor& actor(int k) const { return *Nets(k).actor; }
 
-  /// Public ActorInput: obs plus the one-hot agent id appended under
-  /// share_params (identity otherwise). Exposed so serving code can build
-  /// bit-identical actor rows without going through Act.
-  std::vector<float> ActorInputFor(int k, const std::vector<float>& obs) const {
-    return ActorInput(k, obs);
-  }
+  /// Agent k's actor input row: obs, plus the one-hot agent id under
+  /// share_params (core::WriteInputRow). Exposed so benchmarks and serving
+  /// code can build bit-identical actor rows without going through Act.
+  std::vector<float> ActorInputFor(int k, const std::vector<float>& obs) const;
 
   /// Restores the newest checkpoint in `dir` that passes validation,
   /// falling back to older retained files when the newest one is
@@ -359,13 +357,23 @@ class HiMadrlTrainer : public Policy {
     return config_.base == BaseAlgo::kMappo || config_.centralized_critic;
   }
 
-  /// Actor input: raw obs, plus a one-hot agent id when parameters are
-  /// shared (SP) so the shared network can distinguish UVs.
-  std::vector<float> ActorInput(int k, const std::vector<float>& obs) const;
-  /// Critic input: obs for IPPO, global state for MAPPO or CC (+ one-hot
-  /// under SP).
-  std::vector<float> CriticInput(int k, const std::vector<float>& obs,
-                                 const std::vector<float>& state) const;
+  /// One-hot id columns after every actor and agent-critic input row: the
+  /// agent count when parameters are shared (SP), so the shared network can
+  /// distinguish UVs, else none.
+  int IdAgents() const {
+    return config_.share_params ? env_.num_agents() : 0;
+  }
+  /// Agent k's actor input rows `rows` of the buffer, packed straight from
+  /// its observations. V_HE and V_HO read the same rows, and so does V^k
+  /// unless it reads the global state.
+  nn::Tensor ActorBatch(int k, const std::vector<int>& rows) const {
+    return PackBatch(buffer_.agents[k].obs, rows, k, IdAgents());
+  }
+  /// V^k's input rows when it reads the global state (StateCritic), packed
+  /// straight from the buffer's states.
+  nn::Tensor CriticBatch(int k, const std::vector<int>& rows) const {
+    return PackBatch(buffer_.states, rows, k, IdAgents());
+  }
 
   /// One timeslot's action selection across rollout workers (the
   /// Sampler's BatchActFn): one tape-free actor forward per agent over all
@@ -382,33 +390,18 @@ class HiMadrlTrainer : public Policy {
   /// theta_old snapshot, M1 policy epochs, M2 LCF meta-updates.
   void Optimize(IterationStats& stats);
 
-  /// Network input rows of one optimize phase, built once and shared by
-  /// PolicyUpdate and LcfUpdate.
-  struct OptimizeInputs {
-    std::vector<std::vector<std::vector<float>>> actor;   ///< Per agent.
-    /// Per agent, only when V^k reads the global state (StateCritic);
-    /// otherwise V^k reads the actor's rows.
-    std::vector<std::vector<std::vector<float>>> critic;
-  };
-  OptimizeInputs BuildOptimizeInputs() const;
-  /// V^k's input rows for agent k.
-  const std::vector<std::vector<float>>& CriticRows(
-      const OptimizeInputs& in, int k) const {
-    return StateCritic() ? in.critic[k] : in.actor[k];
-  }
-
   /// Agent k's advantage streams under the current critics (Eqn. 24): r^k
   /// under V^k and, with CoPO, the HE/HO neighbor rewards under V_HE/V_HO.
   struct AgentAdvantages {
     AdvantageResult k, he, ho;
   };
-  AgentAdvantages AdvantagesOf(int k, const OptimizeInputs& in) const;
+  AgentAdvantages AdvantagesOf(int k) const;
   /// r_all under V_all (Eqns. 29, 31).
   AdvantageResult OverallAdvantages(bool normalize) const;
 
   /// Returns {mean actor grad norm, mean value loss}.
-  std::pair<float, float> PolicyUpdate(const OptimizeInputs& in);
-  void LcfUpdate(const OptimizeInputs& in);
+  std::pair<float, float> PolicyUpdate();
+  void LcfUpdate();
 
   // Optimize-phase tasks (DESIGN.md, "Optimize-phase tasks"). Without
   // share_params each agent's networks, optimizers and LCF are touched only
@@ -432,14 +425,12 @@ class HiMadrlTrainer : public Policy {
     int anomalies = 0;
   };
   /// Agent k's M1 epoch (Eqns. 24-28): actor and critic minibatch steps.
-  EpochStats AgentPolicyEpoch(int k, const OptimizeInputs& in,
-                              const EpochDraws& draws);
+  EpochStats AgentPolicyEpoch(int k, const EpochDraws& draws);
   /// One epoch of V_all on r_all (Line 20); returns its anomalies.
   int OverallValueEpoch(const Minibatches& batches);
   /// Agent k's LCF meta-update over one M2 epoch (Eqns. 30-32); returns
   /// its anomalies.
-  int AgentLcfEpoch(int k, const OptimizeInputs& in,
-                    const AgentAdvantages& adv,
+  int AgentLcfEpoch(int k, const AgentAdvantages& adv,
                     const AdvantageResult& adv_all,
                     const Minibatches& batches);
   /// Agents whose updates share state run in one task, in agent order:

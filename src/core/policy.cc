@@ -1,10 +1,10 @@
 #include "core/policy.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace agsc::core {
-
-namespace {
 
 std::vector<int> LayerSizes(int in, const std::vector<int>& hidden, int out) {
   std::vector<int> sizes;
@@ -14,7 +14,17 @@ std::vector<int> LayerSizes(int in, const std::vector<int>& hidden, int out) {
   return sizes;
 }
 
-}  // namespace
+void WriteInputRow(const std::vector<float>& features, int k, int id_agents,
+                   std::span<float> dst) {
+  if (dst.size() != features.size() + static_cast<size_t>(id_agents)) {
+    throw std::invalid_argument(
+        "WriteInputRow: " + std::to_string(features.size()) + " features + " +
+        std::to_string(id_agents) + " id columns into a row of " +
+        std::to_string(dst.size()));
+  }
+  const auto id = std::copy(features.begin(), features.end(), dst.begin());
+  for (int j = 0; j < id_agents; ++j) id[j] = j == k ? 1.0f : 0.0f;
+}
 
 GaussianActor::GaussianActor(int obs_dim, int action_dim,
                              const NetConfig& config, util::Rng& rng)
@@ -32,21 +42,6 @@ nn::DiagGaussian GaussianActor::Dist(const nn::Variable& obs_batch) const {
   return nn::DiagGaussian(mean_net_.Forward(obs_batch), log_std_);
 }
 
-std::vector<float> GaussianActor::Act(const std::vector<float>& obs,
-                                      util::Rng& rng, bool deterministic,
-                                      float* logp) const {
-  nn::Tensor row(1, static_cast<int>(obs.size()));
-  for (size_t i = 0; i < obs.size(); ++i) row[static_cast<int>(i)] = obs[i];
-  nn::DiagGaussian dist = Dist(row);
-  nn::Tensor action = deterministic ? dist.Mode() : dist.Sample(rng);
-  if (logp != nullptr) {
-    *logp = dist.LogProb(action).value()(0, 0);
-  }
-  std::vector<float> out(action.cols());
-  for (int c = 0; c < action.cols(); ++c) out[c] = action(0, c);
-  return out;
-}
-
 std::vector<nn::Variable> GaussianActor::Parameters() const {
   std::vector<nn::Variable> params = mean_net_.Parameters();
   params.push_back(log_std_);
@@ -61,16 +56,7 @@ nn::Variable ValueNet::Forward(const nn::Variable& batch) const {
   return net_.Forward(batch);
 }
 
-std::vector<float> ValueNet::Values(
-    const std::vector<std::vector<float>>& rows) const {
-  if (rows.empty()) return {};
-  nn::Tensor batch(static_cast<int>(rows.size()),
-                   static_cast<int>(rows[0].size()));
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t c = 0; c < rows[r].size(); ++c) {
-      batch(static_cast<int>(r), static_cast<int>(c)) = rows[r][c];
-    }
-  }
+std::vector<float> ValueNet::Values(const nn::Tensor& batch) const {
   const nn::Tensor values = net_.Infer(batch);
   std::vector<float> out(values.rows());
   for (int r = 0; r < values.rows(); ++r) out[r] = values(r, 0);

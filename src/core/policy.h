@@ -1,6 +1,7 @@
 #ifndef AGSC_CORE_POLICY_H_
 #define AGSC_CORE_POLICY_H_
 
+#include <span>
 #include <vector>
 
 #include "nn/distributions.h"
@@ -14,6 +15,18 @@ struct NetConfig {
   std::vector<int> hidden = {128, 64};
   float log_std_init = -0.5f;
 };
+
+/// Layer widths of an MLP: `in`, the hidden widths, then `out`.
+std::vector<int> LayerSizes(int in, const std::vector<int>& hidden, int out);
+
+/// Writes one network input row into `dst`: `features`, then, when
+/// `id_agents` > 0, the one-hot id of agent `k` over `id_agents` columns
+/// (under share_params one network serves every UV and tells them apart by
+/// it). The only code that knows this layout: the actor, critic and served
+/// rows all come through it. Throws std::invalid_argument unless `dst`
+/// holds exactly features.size() + id_agents floats.
+void WriteInputRow(const std::vector<float>& features, int k, int id_agents,
+                   std::span<float> dst);
 
 /// Gaussian policy head over the 2-D continuous UV action (direction,
 /// speed): an MLP with tanh-bounded mean plus a state-independent
@@ -30,19 +43,14 @@ class GaussianActor : public nn::Module {
   /// the critics read too, so the batch is not copied once per network.
   nn::DiagGaussian Dist(const nn::Variable& obs_batch) const;
 
-  /// Samples one action for a single observation; outputs the log-prob of
-  /// the sample. `deterministic` returns the mode.
-  std::vector<float> Act(const std::vector<float>& obs, util::Rng& rng,
-                         bool deterministic, float* logp) const;
-
   std::vector<nn::Variable> Parameters() const override;
 
   int obs_dim() const { return mean_net_.in_features(); }
   int action_dim() const { return mean_net_.out_features(); }
   const nn::Variable& log_std() const { return log_std_; }
-  /// The mean MLP, exposed for values-only batched inference (serving):
-  /// mean_net().Infer(batch) is bit-identical to the per-row deterministic
-  /// Act path, which returns the distribution mode = the tanh-bounded mean.
+  /// The mean MLP, for values-only inference (action selection, the
+  /// Evaluator, serving): mean_net().Infer(batch) is bit-identical to
+  /// Dist(batch).Mode(), the tanh-bounded mean, without building a graph.
   const nn::Mlp& mean_net() const { return mean_net_; }
 
  private:
@@ -58,9 +66,9 @@ class ValueNet : public nn::Module {
   /// Differentiable forward pass -> Nx1.
   nn::Variable Forward(const nn::Variable& batch) const;
 
-  /// Values only (no graph, through Mlp::Infer) for a list of feature rows;
+  /// Values only (no graph, through Mlp::Infer) for the rows of `batch`;
   /// bit-identical to Forward on the same rows.
-  std::vector<float> Values(const std::vector<std::vector<float>>& rows) const;
+  std::vector<float> Values(const nn::Tensor& batch) const;
 
   std::vector<nn::Variable> Parameters() const override;
 

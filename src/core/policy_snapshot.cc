@@ -43,18 +43,6 @@ std::shared_ptr<PolicySnapshot> PolicySnapshot::FromTrainer(
   return snap;
 }
 
-void PolicySnapshot::FillRow(int agent, const std::vector<float>& obs,
-                             nn::Tensor& batch, int r) const {
-  for (int c = 0; c < obs_dim_; ++c) {
-    batch(r, c) = obs[static_cast<size_t>(c)];
-  }
-  if (share_params_) {
-    for (int j = 0; j < num_agents_; ++j) {
-      batch(r, obs_dim_ + j) = j == agent ? 1.0f : 0.0f;
-    }
-  }
-}
-
 std::array<float, 2> PolicySnapshot::Act(int agent,
                                          const std::vector<float>& obs) const {
   const std::vector<Row> rows = {{agent, &obs}};
@@ -83,10 +71,12 @@ void PolicySnapshot::ActBatch(
   for (size_t g = 0; g < groups.size(); ++g) {
     const std::vector<int>& members = groups[g];
     if (members.empty()) continue;
+    const size_t dim = static_cast<size_t>(input_dim_);
     nn::Tensor batch(static_cast<int>(members.size()), input_dim_);
     for (size_t r = 0; r < members.size(); ++r) {
       const Row& row = rows[static_cast<size_t>(members[r])];
-      FillRow(row.agent, *row.obs, batch, static_cast<int>(r));
+      WriteInputRow(*row.obs, row.agent, share_params_ ? num_agents_ : 0,
+                    {batch.data() + r * dim, dim});
     }
     const nn::Tensor modes = heads_[g]->mean_net().Infer(batch);
     for (size_t r = 0; r < members.size(); ++r) {

@@ -25,11 +25,13 @@ namespace agsc::core {
 /// Correctness contract (asserted by dispatch_server_test): for every agent
 /// k and observation, Act/ActBatch return exactly the bytes of the
 /// Evaluator's deterministic path on the same checkpoint —
-/// HiMadrlTrainer::Act(..., deterministic=true), which is the Gaussian mode
-/// = the tanh-bounded mean MLP output. Both paths run the identical fused
-/// LinearActivateValue kernel, and GEMM accumulation order per output
-/// element is independent of the batch row count, so batching N sessions
-/// into one forward changes nothing.
+/// HiMadrlTrainer::Act(..., deterministic=true). Both write the input row
+/// with core::WriteInputRow and run mean_net().Infer on it, and GEMM
+/// accumulation order per output element is independent of the batch row
+/// count, so batching N sessions into one forward changes nothing. That
+/// this mean is the graph path's Gaussian mode (Dist(row).Mode()) is pinned
+/// separately: MlpInferTest for Infer against Forward, and
+/// HiMadrlTest.ActBitEqualsGraphModeAndSample for Act against the mode.
 class PolicySnapshot {
  public:
   /// One observation row awaiting an action: `agent` selects the policy head
@@ -71,11 +73,6 @@ class PolicySnapshot {
 
  private:
   PolicySnapshot() = default;
-
-  /// Writes row `r` of `batch`: raw obs, plus the one-hot agent id under SP
-  /// — byte-for-byte HiMadrlTrainer::ActorInput.
-  void FillRow(int agent, const std::vector<float>& obs, nn::Tensor& batch,
-               int r) const;
 
   int num_agents_ = 0;
   int obs_dim_ = 0;        ///< Raw env observation width.

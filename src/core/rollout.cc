@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/policy.h"
 #include "util/rng.h"
 
 namespace agsc::core {
@@ -69,19 +70,15 @@ void MultiAgentBuffer::Append(MultiAgentBuffer&& other) {
 }
 
 nn::Tensor PackBatch(const std::vector<std::vector<float>>& rows,
-                     const std::vector<int>& indices) {
+                     const std::vector<int>& indices, int k, int id_agents) {
   if (indices.empty()) throw std::invalid_argument("PackBatch: empty batch");
-  const int dim = static_cast<int>(rows[indices[0]].size());
-  nn::Tensor batch(static_cast<int>(indices.size()), dim);
+  const size_t dim = rows[indices[0]].size() + id_agents;
+  nn::Tensor batch(static_cast<int>(indices.size()), static_cast<int>(dim));
   for (size_t r = 0; r < indices.size(); ++r) {
-    const std::vector<float>& row = rows[indices[r]];
-    for (int c = 0; c < dim; ++c) batch(static_cast<int>(r), c) = row[c];
+    WriteInputRow(rows[indices[r]], k, id_agents,
+                  {batch.data() + r * dim, dim});
   }
   return batch;
-}
-
-nn::Tensor AgentRollout::ObsBatch(const std::vector<int>& indices) const {
-  return PackBatch(obs, indices);
 }
 
 nn::Tensor AgentRollout::ActionBatch(const std::vector<int>& indices) const {

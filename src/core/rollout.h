@@ -37,8 +37,6 @@ struct AgentRollout {
   /// per-worker rollouts in stable worker order). `other` is left empty.
   void Append(AgentRollout&& other);
 
-  /// Packs rows `indices` of `obs` into a batch tensor.
-  nn::Tensor ObsBatch(const std::vector<int>& indices) const;
   /// Packs rows `indices` of the 2-D actions into an Nx2 tensor.
   nn::Tensor ActionBatch(const std::vector<int>& indices) const;
 };
@@ -66,9 +64,12 @@ struct MultiAgentBuffer {
   nn::Tensor StateBatch(const std::vector<int>& indices) const;
 };
 
-/// Packs rows `indices` of `rows` (all of equal length) into a tensor.
+/// Packs rows `indices` of `rows` (all of equal length) into a tensor, each
+/// followed by the one-hot id of agent `k` over `id_agents` columns when
+/// `id_agents` > 0 (core/policy's WriteInputRow layout).
 nn::Tensor PackBatch(const std::vector<std::vector<float>>& rows,
-                     const std::vector<int>& indices);
+                     const std::vector<int>& indices, int k = 0,
+                     int id_agents = 0);
 
 /// Returns {0, 1, ..., n-1}.
 std::vector<int> AllIndices(size_t n);

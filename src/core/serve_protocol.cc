@@ -27,9 +27,13 @@ constexpr uint32_t kFlagShutdown = 1u << 2;
 constexpr uint32_t kFlagEpisodeDone = 1u << 3;
 constexpr uint32_t kFlagRejected = 1u << 4;
 constexpr uint32_t kFlagOverloaded = 1u << 5;
+constexpr uint32_t kResponseFlags = kFlagOk | kFlagExpired | kFlagShutdown |
+                                    kFlagEpisodeDone | kFlagRejected |
+                                    kFlagOverloaded;
 
 // DispatchHealth flags.
 constexpr uint32_t kHealthFlagOverloaded = 1u << 0;
+constexpr uint32_t kHealthFlags = kHealthFlagOverloaded;
 
 }  // namespace
 
@@ -97,6 +101,9 @@ bool DecodeServeResponse(const std::string& payload, DispatchResult& out) {
   out.snapshot_version = r.U64();
   out.latency_ms = r.F64();
   if (!r.Done()) return false;
+  // Bits with no meaning are refused, so an accepted reply re-encodes to
+  // the bytes it came from.
+  if ((flags & ~kResponseFlags) != 0) return false;
   if (reason > static_cast<uint32_t>(RejectReason::kDisconnect)) return false;
   out.ok = (flags & kFlagOk) != 0;
   out.expired = (flags & kFlagExpired) != 0;
@@ -150,7 +157,7 @@ bool DecodeServeHealthResponse(const std::string& payload,
   out.requests_shed = r.U64();
   out.clients_quarantined = r.U64();
   out.ewma_batch_ms = r.F64();
-  if (!r.Done()) return false;
+  if (!r.Done() || (flags & ~kHealthFlags) != 0) return false;
   out.overloaded = (flags & kHealthFlagOverloaded) != 0;
   return true;
 }

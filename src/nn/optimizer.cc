@@ -11,10 +11,6 @@ void Optimizer::ZeroGrad() {
   for (Variable& p : params_) p.ZeroGrad();
 }
 
-void Optimizer::AddParameters(const std::vector<Variable>& more) {
-  params_.insert(params_.end(), more.begin(), more.end());
-}
-
 Sgd::Sgd(std::vector<Variable> params, float lr)
     : Optimizer(std::move(params)), lr_(lr) {}
 

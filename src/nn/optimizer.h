@@ -20,9 +20,6 @@ class Optimizer {
   /// Clears all parameter gradients.
   void ZeroGrad();
 
-  /// Appends more parameters (e.g. a lazily-created head).
-  void AddParameters(const std::vector<Variable>& more);
-
   const std::vector<Variable>& params() const { return params_; }
 
  protected:

@@ -211,10 +211,6 @@ class WireWriter {
     U64(v.size());
     Raw(v.data(), v.size() * sizeof(int32_t));
   }
-  void Str(const std::string& s) {
-    U64(s.size());
-    Raw(s.data(), s.size());
-  }
 
   const std::string& bytes() const { return bytes_; }
   std::string Take() { return std::move(bytes_); }
@@ -248,13 +244,6 @@ class WireReader {
   bool F32Vec(std::vector<float>& out) { return Vec(out); }
   bool F64Vec(std::vector<double>& out) { return Vec(out); }
   bool I32Vec(std::vector<int32_t>& out) { return Vec(out); }
-  bool Str(std::string& out) {
-    const uint64_t n = U64();
-    if (!ok_ || n > bytes_.size() - pos_) return Fail();
-    out.assign(bytes_, pos_, n);
-    pos_ += n;
-    return true;
-  }
 
   /// True iff every read so far stayed in bounds.
   bool ok() const { return ok_; }

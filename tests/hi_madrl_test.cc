@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +109,60 @@ TEST(HiMadrlTest, ActionsWithinTanhBounds) {
   EXPECT_LE(a.raw_direction, 1.0);
   EXPECT_GE(a.raw_speed, -1.0);
   EXPECT_LE(a.raw_speed, 1.0);
+}
+
+/// The bit pattern of a float action component (Act widens it to double).
+uint32_t FloatBits(double x) {
+  return std::bit_cast<uint32_t>(static_cast<float>(x));
+}
+
+TEST(HiMadrlTest, ActBitEqualsGraphModeAndSample) {
+  // Act, the Evaluator's and Table VII's path, runs the tape-free mean and
+  // the graph-free draw. It must return the graph path's mode, and its
+  // Sample from an equal stream, bit for bit, and leave the stream in the
+  // same state, with and without share_params' one-hot id (written out by
+  // hand here).
+  for (const bool share : {false, true}) {
+    env::ScEnv env(TinyEnvConfig(), SmallDataset(), 12);
+    TrainConfig config = TinyTrainConfig();
+    config.share_params = share;
+    HiMadrlTrainer trainer(env, config);
+    trainer.TrainIteration();  // Weights away from their initialization.
+    const env::StepResult r = env.Reset();
+    for (int k = 0; k < env.num_agents(); ++k) {
+      const std::vector<float>& obs = r.observations[k];
+      std::vector<float> input = obs;
+      for (int j = 0; share && j < env.num_agents(); ++j) {
+        input.push_back(j == k ? 1.0f : 0.0f);
+      }
+      nn::Tensor row(1, static_cast<int>(input.size()));
+      for (size_t c = 0; c < input.size(); ++c) {
+        row[static_cast<int>(c)] = input[c];
+      }
+      const nn::DiagGaussian dist = trainer.actor(k).Dist(row);
+      util::Rng act_rng(40 + k), graph_rng(40 + k);
+
+      const env::UvAction mode = trainer.Act(env, k, obs, act_rng, true);
+      const nn::Tensor graph_mode = dist.Mode();
+      EXPECT_EQ(FloatBits(mode.raw_direction),
+                std::bit_cast<uint32_t>(graph_mode(0, 0)))
+          << "share " << share << " agent " << k;
+      EXPECT_EQ(FloatBits(mode.raw_speed),
+                std::bit_cast<uint32_t>(graph_mode(0, 1)))
+          << "share " << share << " agent " << k;
+
+      const env::UvAction drawn = trainer.Act(env, k, obs, act_rng, false);
+      const nn::Tensor graph_drawn = dist.Sample(graph_rng);
+      EXPECT_EQ(FloatBits(drawn.raw_direction),
+                std::bit_cast<uint32_t>(graph_drawn(0, 0)))
+          << "share " << share << " agent " << k;
+      EXPECT_EQ(FloatBits(drawn.raw_speed),
+                std::bit_cast<uint32_t>(graph_drawn(0, 1)))
+          << "share " << share << " agent " << k;
+      EXPECT_EQ(act_rng.SaveState(), graph_rng.SaveState())
+          << "share " << share << " agent " << k;
+    }
+  }
 }
 
 TEST(HiMadrlTest, AblationVariantsTrain) {

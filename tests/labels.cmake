@@ -13,7 +13,7 @@
 #
 # One row per (suite, test-name regex, labels); labels are comma-separated.
 set(_agsc_kernel_tests
-    "^(GemmKernelTest|KernelInvarianceTest|Crc32Test|AdamTest)\\.")
+    "^(GemmKernelTest|MlpInferTest|KernelInvarianceTest|Crc32Test|AdamTest)\\.")
 set(_agsc_overload_tests "Overload|Fairness|Admission|Quarantine|Flood|Shed|Brownout|Health|PublishRejectAccounting|CancelClient")
 set(_agsc_label_rows
   # Soak campaign: `ctest -L serving`.
@@ -23,8 +23,9 @@ set(_agsc_label_rows
   net_test             "."                       "fast,net"
   frame_fuzz_test      "."                       "fast,net"
   worker_protocol_fuzz_test "."                  "fast,net"
-  # GEMM tier sweep, tanh and Adam at every tier, byte-identical
-  # checkpoints across kernels, CRC-32: `ctest -L kernel`.
+  # GEMM tier sweep, Mlp::Infer against the graph forward, tanh and Adam
+  # at every tier, byte-identical checkpoints across kernels, CRC-32:
+  # `ctest -L kernel`.
   nn_kernel_test       "${_agsc_kernel_tests}"   "fast,kernel"
   tanh_kernel_test     "^TanhKernelTest\\.Stratified" "fast,kernel"
   util_test            "${_agsc_kernel_tests}"   "fast,kernel"

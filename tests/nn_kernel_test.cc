@@ -6,6 +6,8 @@
 //    every SIMD tier the CPU supports;
 //  - the fused graph ops (LinearActivate / AddScaled / SquareScale) match
 //    their unfused op chains bit-for-bit in both values and gradients;
+//  - Mlp::Infer, the one values-only forward, matches the graph forward
+//    and each of its rows matches Infer on that row alone;
 //  - the thread-local buffer pool makes a steady-state train step O(1) heap
 //    allocations after warm-up;
 //  - the vectorized Adam step matches the scalar loop bit-for-bit;
@@ -14,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -200,6 +203,53 @@ TEST(GemmKernelTest, NaNPropagatesThroughZeroActivation) {
             << rows << " row " << i;
         EXPECT_EQ(out_tb(i, 0), 0.0f);
         EXPECT_EQ(out_tb(i, 2), 0.0f);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Mlp::Infer against the graph forward.
+// ---------------------------------------------------------------------------
+
+TEST(MlpInferTest, MatchesGraphForwardAndSingleRows) {
+  // Every forward that no Backward follows runs Mlp::Infer: action
+  // selection, HiMadrlTrainer::Act, serving, the critic passes and the
+  // i-EOI rewards. Its values must be those of the graph forward the losses
+  // differentiate, and a batched call must equal the row-by-row calls,
+  // under both GEMM kernels and for row counts below, on and past one
+  // 8-row tile.
+  KernelConfigGuard guard;
+  util::Rng rng(17);
+  const std::vector<Activation> acts = {Activation::kTanh, Activation::kRelu,
+                                        Activation::kNone};
+  for (GemmKernel kernel : {GemmKernel::kNaive, GemmKernel::kBlocked}) {
+    KernelConfig config;
+    config.gemm = kernel;
+    nn::SetKernelConfig(config);
+    for (Activation hidden : acts) {
+      for (Activation output : acts) {
+        const nn::Mlp mlp({37, 33, 17, 3}, rng, hidden, output);
+        for (int rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 64}) {
+          const std::string tag =
+              "kernel " + std::to_string(static_cast<int>(kernel)) +
+              " acts " + std::to_string(static_cast<int>(hidden)) + "/" +
+              std::to_string(static_cast<int>(output)) + " rows " +
+              std::to_string(rows);
+          const Tensor x = RandomTensor(rows, 37, rng);
+          const Tensor y = mlp.Infer(x);
+          ExpectBitEqual(y, mlp.Forward(x).value(), tag);
+          for (int r = 0; r < rows; ++r) {
+            Tensor x_row(1, x.cols());
+            Tensor y_row(1, y.cols());
+            const float* xr = x.data() + r * x.cols();
+            const float* yr = y.data() + r * y.cols();
+            std::copy(xr, xr + x.cols(), x_row.data());
+            std::copy(yr, yr + y.cols(), y_row.data());
+            ExpectBitEqual(mlp.Infer(x_row), y_row,
+                           tag + " row " + std::to_string(r));
+          }
+        }
       }
     }
   }

@@ -100,13 +100,16 @@ TEST(SuccessorValuesTest, EveryReadValueMatchesTheCriticOnTheNextRow) {
   NetConfig net;
   net.hidden = {8};
   const ValueNet critic(3, net, rng);
-  const std::vector<float> values = critic.Values(rows);
+  const std::vector<float> values =
+      critic.Values(PackBatch(rows, AllIndices(rows.size())));
   const std::vector<float> next_values = SuccessorValues(values, dones);
 
   // The second critic pass the successor step replaces, one row at a time.
   std::vector<float> direct(rows.size(), 0.0f);
   for (size_t t = 0; t < rows.size(); ++t) {
-    if (!dones[t]) direct[t] = critic.Values({rows[t + 1]})[0];
+    if (!dones[t]) {
+      direct[t] = critic.Values(PackBatch(rows, {static_cast<int>(t + 1)}))[0];
+    }
   }
   EXPECT_EQ(Bits(next_values), Bits(direct));
   const std::vector<float> rewards = {0.5f, -1.0f, 2.0f, 0.25f, 1.5f, -0.5f};
@@ -227,6 +230,20 @@ TEST(RolloutTest, PackBatchSelectsRows) {
   EXPECT_EQ(batch(0, 0), 5.0f);
   EXPECT_EQ(batch(1, 1), 2.0f);
   EXPECT_THROW(PackBatch(rows, {}), std::invalid_argument);
+  // Agent 1 of 3 under share_params: each row is followed by its one-hot id.
+  const nn::Tensor with_id = PackBatch(rows, {2, 0}, 1, 3);
+  ASSERT_EQ(with_id.rows(), 2);
+  ASSERT_EQ(with_id.cols(), 5);
+  for (int r = 0; r < 2; ++r) {
+    const float first = r == 0 ? 5.0f : 1.0f;
+    const std::vector<float> want = {first, first + 1, 0.0f, 1.0f, 0.0f};
+    for (int c = 0; c < 5; ++c) {
+      EXPECT_EQ(with_id(r, c), want[c]) << "row " << r << " col " << c;
+    }
+  }
+  // A row of another width does not fit the batch.
+  rows.push_back({7});
+  EXPECT_THROW(PackBatch(rows, {0, 3}), std::invalid_argument);
 }
 
 TEST(RolloutTest, ActionBatch) {

@@ -252,9 +252,10 @@ std::vector<std::unique_ptr<core::GaussianActor>> MakeActors(
   return actors;
 }
 
-/// The sequential sampling loop: reset, one GaussianActor::Act per agent in
-/// agent order from the single stream `rng`, step, append, and the episode
-/// metrics once the episode is done.
+/// The sequential sampling loop: reset, one graph-path draw per agent in
+/// agent order from the single stream `rng` (Dist on the agent's one-row
+/// batch, Sample, LogProb), step, append, and the episode metrics once the
+/// episode is done.
 void SequentialCollect(
     env::ScEnv& env,
     const std::vector<std::unique_ptr<core::GaussianActor>>& actors,
@@ -269,8 +270,11 @@ void SequentialCollect(
       std::vector<float> logps(static_cast<size_t>(num_agents));
       std::vector<env::UvAction> actions(static_cast<size_t>(num_agents));
       for (int k = 0; k < num_agents; ++k) {
-        raw[k] = actors[k]->Act(cur.observations[k], rng,
-                                /*deterministic=*/false, &logps[k]);
+        const nn::DiagGaussian dist =
+            actors[k]->Dist(core::PackBatch(cur.observations, {k}));
+        const nn::Tensor action = dist.Sample(rng);
+        logps[k] = dist.LogProb(action).value()(0, 0);
+        raw[k] = {action(0, 0), action(0, 1)};
         actions[k] = {raw[k][0], raw[k][1]};
       }
       env::StepResult next = env.Step(actions);
@@ -299,7 +303,7 @@ TEST(VecSamplerTest, SingleWorkerMatchesSequentialReferenceBitExactly) {
   // Mlp::Infer per agent over the stacked rows, then, agent by agent, each
   // row's sample from its stream and its log-probability without a graph.
   // With one worker every batch has one row, so it must reproduce the
-  // per-agent graph-path Act calls bit-for-bit: same draw order, same row
+  // per-agent graph-path draws bit-for-bit: same draw order, same row
   // math.
   env::ScEnv ref_env(SmallEnvConfig(), SmallDataset(), 11);
   const auto actors = MakeActors(ref_env);

@@ -1,8 +1,10 @@
-// Mutation fuzz sweep over the core/worker_protocol payload decoders. Each
-// payload starts as a real encoding: Init of agsc_train's default config,
-// Register, Hello, an EpisodePrefix that replays three slots, one slot's
-// Actions, and StepResults of a real 1000-PoI environment (the 60 KB
-// payloads a rollout worker sends every slot). Each is cut at every
+// Mutation fuzz sweep over the core/worker_protocol and core/serve_protocol
+// payload decoders. Each payload starts as a real encoding: Init of
+// agsc_train's default config, Register, Hello, an EpisodePrefix that
+// replays three slots, one slot's Actions, StepResults of a real 1000-PoI
+// environment (the 60 KB payloads a rollout worker sends every slot), and
+// the serving frontend's Act and Step requests, its reply to them, and its
+// Health request and reply. Each is cut at every
 // offset, bit-flipped (every bit of its first 256 bytes, then seeded bits
 // anywhere), and has each length prefix inflated up to and past the bytes
 // that remain. A Decode* must return false, or return a value that
@@ -30,7 +32,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dispatch_server.h"
 #include "core/oracle_guard.h"
+#include "core/serve_protocol.h"
 #include "core/worker_protocol.h"
 #include "env/config.h"
 #include "env/sc_env.h"
@@ -244,6 +248,56 @@ std::vector<Codec> RealEncodings() {
         {name, EncodeWorkerStepResult(result), StepResultLengths(result),
          MakeRoundTrip(&DecodeWorkerStepResult, &EncodeWorkerStepResult)});
   }
+
+  // The serving frontend's payloads: a stateless Act on a 100-PoI
+  // observation (its float count sits after the version and agent words),
+  // a session step, a served reply whose flags set some bits and leave
+  // others clear, and a health probe and its reply.
+  ServeActRequest act;
+  act.agent = 2;
+  act.obs.resize(312);
+  for (float& x : act.obs) x = static_cast<float>(rng.Uniform());
+  act.priority = 1;
+  codecs.push_back(
+      {"ServeActRequest", EncodeServeActRequest(act), {{8, 8, 4}},
+       MakeRoundTrip(&DecodeServeActRequest, &EncodeServeActRequest)});
+
+  ServeStepRequest step;
+  step.session = 5;
+  step.priority = -1;
+  codecs.push_back(
+      {"ServeStepRequest", EncodeServeStepRequest(step), {},
+       MakeRoundTrip(&DecodeServeStepRequest, &EncodeServeStepRequest)});
+
+  DispatchResult reply;
+  reply.ok = true;
+  reply.overloaded = true;
+  reply.episode_done = true;
+  reply.action = RandomAction(rng);
+  reply.snapshot_version = 9;
+  reply.latency_ms = 0.375;
+  codecs.push_back({"ServeResponse", EncodeServeResponse(reply), {},
+                    MakeRoundTrip(&DecodeServeResponse, &EncodeServeResponse)});
+
+  codecs.push_back({"ServeHealthRequest", EncodeServeHealthRequest(), {},
+                    [](const std::string& bytes, std::string& again) {
+                      if (!DecodeServeHealthRequest(bytes)) return false;
+                      again = EncodeServeHealthRequest();
+                      return true;
+                    }});
+
+  DispatchHealth health;
+  health.queue_depth = 17;
+  health.snapshot_version = 9;
+  health.requests_ok = 120000;
+  health.requests_expired = 3;
+  health.requests_rejected = 40;
+  health.requests_shed = 2;
+  health.clients_quarantined = 1;
+  health.ewma_batch_ms = 0.125;
+  codecs.push_back(
+      {"ServeHealthResponse", EncodeServeHealthResponse(health), {},
+       MakeRoundTrip(&DecodeServeHealthResponse, &EncodeServeHealthResponse)});
   return codecs;
 }
 
